@@ -7,7 +7,7 @@ use crate::graph::Graph;
 use crate::maxcut::{cut_value, mean_cut};
 use crate::observables::maxcut_hamiltonian;
 use bgls_backend::{AnyState, BackendKind};
-use bgls_circuit::{Circuit, Gate, Operation, Param, ParamResolver, Qubit};
+use bgls_circuit::{Circuit, Gate, Operation, OptimizeConfig, Param, ParamResolver, Qubit};
 use bgls_core::{BglsState, BitString, SimError, Simulator, SimulatorOptions};
 
 /// Builds a `p`-layer QAOA MaxCut circuit with symbolic parameters
@@ -179,9 +179,9 @@ where
 ///
 /// Runs on the batched hot path: candidate probabilities go through the
 /// backend's `probabilities_batch` (environment sharing on the MPS), and
-/// `fuse_gates` merges each vertex's `H`/`Rx` runs before sampling. Every
-/// backend this pipeline accepts consumes arbitrary `U1` matrices, so
-/// fusion is always safe here.
+/// the optimizer's single-qubit merge pass merges each vertex's `H`/`Rx`
+/// runs before sampling. Every backend this pipeline accepts consumes
+/// arbitrary `U1` matrices, so fusion is always safe here.
 pub fn solve_maxcut_qaoa(
     graph: &Graph,
     backend: BackendKind,
@@ -194,7 +194,10 @@ pub fn solve_maxcut_qaoa(
     let circuit = qaoa_maxcut_circuit(graph, 1);
     let options = SimulatorOptions {
         seed: Some(seed),
-        fuse_gates: true,
+        optimize: Some(OptimizeConfig {
+            merge_single_qubit_runs: true,
+            ..OptimizeConfig::off()
+        }),
         ..Default::default()
     };
     let make = || Simulator::new(AnyState::zero(backend, n)).with_options(options.clone());

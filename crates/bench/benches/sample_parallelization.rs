@@ -1,12 +1,13 @@
 //! Bench: the multiplicity-map sample parallelization (paper Fig. 2):
 //! runtime saturates with repetitions when enabled — plus the batched vs
-//! scalar candidate-probability paths on the saturated map.
+//! scalar candidate-probability hooks on the saturated map.
 
 use bgls_bench::universal_workload;
 use bgls_circuit::{Circuit, Operation, Qubit};
-use bgls_core::{Simulator, SimulatorOptions};
+use bgls_core::{default_apply_op, BglsState, Simulator, SimulatorOptions};
 use bgls_statevector::StateVector;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 
 fn workload(qubits: usize, moments: usize) -> Circuit {
     let mut circuit = universal_workload(qubits, moments, 42);
@@ -28,7 +29,6 @@ fn bench_parallelization(c: &mut Criterion) {
                 let sim = Simulator::new(StateVector::zero(8)).with_options(SimulatorOptions {
                     seed: Some(7),
                     parallelize_samples: false,
-                    parallel_trajectories: false,
                     ..Default::default()
                 });
                 b.iter(|| sim.run(&circuit, reps).unwrap());
@@ -41,19 +41,23 @@ fn bench_parallelization(c: &mut Criterion) {
 /// Scalar vs batched candidate evaluation at a repetition count that
 /// saturates the 8-qubit multiplicity map (every basis state populated),
 /// where candidate-probability evaluation dominates the step cost.
+/// `scalar` is the paper's three-hook constructor ([`Simulator::with_hooks`],
+/// one probability call per candidate); `batched` is [`Simulator::new`].
 fn bench_batched_redistribution(c: &mut Criterion) {
     let circuit = workload(8, 20);
     let mut group = c.benchmark_group("sample_parallelization_batched");
     group.sample_size(10);
     let reps = 100_000u64;
-    for (label, batch) in [("scalar", false), ("batched", true)] {
+    let scalar = Simulator::with_hooks(
+        StateVector::zero(8),
+        Arc::new(default_apply_op),
+        Arc::new(|s, b| s.probability(b)),
+        false,
+    );
+    let batched = Simulator::new(StateVector::zero(8));
+    for (label, sim) in [("scalar", scalar), ("batched", batched)] {
+        let sim = sim.with_seed(7);
         group.bench_function(label, |b| {
-            let sim = Simulator::new(StateVector::zero(8)).with_options(SimulatorOptions {
-                seed: Some(7),
-                batch_probabilities: batch,
-                parallel_redistribution: batch,
-                ..Default::default()
-            });
             b.iter(|| sim.run(&circuit, reps).unwrap());
         });
     }

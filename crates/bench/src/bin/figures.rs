@@ -116,11 +116,12 @@ fn fig2(quick: bool) {
         let t_par = time_median(3, || {
             par.run(&circuit, reps).unwrap();
         });
-        // per-sample path: disable the multiplicity map
+        // per-sample path: disable the multiplicity map (repetitions
+        // still fan out across Rayon threads; RAYON_NUM_THREADS=1 gives
+        // the paper's serial loop)
         let seq = Simulator::new(StateVector::zero(8)).with_options(SimulatorOptions {
             seed: Some(7),
             parallelize_samples: false,
-            parallel_trajectories: false,
             ..Default::default()
         });
         let t_seq = if reps <= 1 << 10 {

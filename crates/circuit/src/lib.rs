@@ -14,7 +14,7 @@
 //!   grouping, and basis-rotation emission (the observable side of the
 //!   expectation engine in `bgls-core`);
 //! * [`fuse`] / [`optimize_for_bgls`] — single-qubit-run merging
-//!   (Sec. 3.2.2), the pass behind the simulator's `fuse_gates` knob;
+//!   (Sec. 3.2.2), the optimizer's `merge_single_qubit_runs` pass;
 //! * [`generate_random_circuit`] — random-circuit workloads (Sec. 4.1.3);
 //! * [`to_qasm`] / [`from_qasm`] — OpenQASM 2.0 interop (Sec. 3.2.4).
 

@@ -3,9 +3,10 @@
 //! sampler updates its bitstring once per merged gate instead of once per
 //! primitive gate, a documented 1.5-2x runtime win.
 //!
-//! The composed pass behind `SimulatorOptions::fuse_gates` is [`fuse`]
-//! ([`merge_single_qubit_gates`] followed by [`drop_identities`]); the
-//! pieces are public so callers can run them independently. Every pass
+//! The composed pass behind `OptimizeConfig::merge_single_qubit_runs` is
+//! [`fuse`] ([`merge_single_qubit_gates`] followed by
+//! [`drop_identities`]); the pieces are public so callers can run them
+//! independently. Every pass
 //! preserves the circuit's unitary action exactly — matrices are
 //! multiplied, never approximated — so sampling *distributions* are
 //! unchanged even though the gate sequence (and hence seeded samples)
@@ -101,7 +102,8 @@ pub fn drop_identities(circuit: &Circuit) -> Circuit {
     out
 }
 
-/// The sampler-facing fusion pass behind `SimulatorOptions::fuse_gates`:
+/// The sampler-facing fusion pass behind
+/// `OptimizeConfig::merge_single_qubit_runs`:
 /// merges maximal runs of adjacent single-qubit gates on each qubit into
 /// one [`Gate::U1`] (exact matrix products, nothing approximated), then
 /// drops operations that fused to the identity.

@@ -37,7 +37,7 @@ pub use error::SimError;
 pub use results::{ExpectationEstimate, Histogram, RunResult};
 pub use service::{BatchController, BatchPolicy, CacheKey, CacheStats, ResultCache, RetryPolicy};
 pub use simulator::{
-    categorical, multinomial_split, stream_seed, ApplyFn, BatchProbFn, OpFaultFn, ProbFn,
-    Simulator, SimulatorOptions,
+    categorical, default_apply_op, multinomial_split, stream_seed, ApplyFn, BatchProbFn, OpFaultFn,
+    ProbFn, Simulator, SimulatorOptions,
 };
 pub use state::{AmplitudeState, BglsState, MarginalState};

@@ -22,7 +22,7 @@
 //! * **trajectories** (Sec. 3.2.1): stochastic apply hooks
 //!   (sum-over-Cliffords), custom hook constructors, or a forest frontier
 //!   that outgrew [`SimulatorOptions::max_forest_nodes`] re-run the
-//!   circuit per repetition, optionally across Rayon threads.
+//!   circuit per repetition, across Rayon threads when there are several.
 
 use crate::bitstring::BitString;
 use crate::error::SimError;
@@ -61,6 +61,22 @@ pub type OpFaultFn = Arc<dyn Fn(u64, &Operation) -> Result<(), SimError> + Send 
 /// value bit-identical to the scalar hook's answer for that candidate.
 pub type BatchProbFn<S> = Arc<dyn Fn(&S, &[BitString]) -> Vec<f64> + Send + Sync>;
 
+/// The `apply_op` hook [`Simulator::new`] installs: gates go to
+/// [`BglsState::apply_gate`], channels to [`BglsState::apply_kraus`], and
+/// measurements are left to the sampler.
+pub fn default_apply_op<S: BglsState>(
+    state: &mut S,
+    op: &Operation,
+    rng: &mut dyn RngCore,
+) -> Result<(), SimError> {
+    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+    match &op.kind {
+        OpKind::Gate(g) => state.apply_gate(g, &qs),
+        OpKind::Channel(c) => state.apply_kraus(c, &qs, rng).map(|_| ()),
+        OpKind::Measure { .. } => Ok(()),
+    }
+}
+
 /// Tuning knobs for [`Simulator`].
 #[derive(Clone, Debug)]
 pub struct SimulatorOptions {
@@ -73,11 +89,6 @@ pub struct SimulatorOptions {
     /// distribution is provably unchanged. Off by default to mirror the
     /// paper; exposed for the ablation bench.
     pub skip_diagonal_updates: bool,
-    /// Use Rayon to spread trajectory repetitions — and trajectory-forest
-    /// frontier nodes — across threads (default `true`). Both paths draw
-    /// every sample from its own seed-derived RNG stream, so results are
-    /// bit-identical whether this is on or off.
-    pub parallel_trajectories: bool,
     /// Run noisy / mid-circuit-measurement circuits through the
     /// trajectory-forest engine instead of per-repetition replay
     /// (default `true`). The forest samples the same distribution as
@@ -98,31 +109,13 @@ pub struct SimulatorOptions {
     /// stream from [`SimulatorOptions::seed`] exactly as the sequential
     /// loop does, so per-resolver results are bit-identical either way.
     pub parallel_sweep: bool,
-    /// Evaluate candidate probabilities through the batched hook when one
-    /// is installed (default `true`). `false` forces the scalar
-    /// per-candidate hook — same samples, useful for benchmarking the
-    /// batched path against its baseline.
-    pub batch_probabilities: bool,
-    /// Spread the multiplicity-map redistribution across Rayon threads
-    /// when the map is large (default `true`). Every map entry draws from
-    /// its own RNG stream derived from the step seed, so results are
-    /// bit-identical whether this is on or off.
-    pub parallel_redistribution: bool,
-    /// Run [`bgls_circuit::fuse`] on circuits before sampling them
-    /// (default `false`): merges runs of adjacent single-qubit gates so
-    /// the sampler updates its bitstring once per run. Preserves the
-    /// sampling distribution exactly but changes the gate sequence, so
-    /// seeded samples differ from unfused runs (except when fusion leaves
-    /// the operation count unchanged). Requires a backend that accepts
-    /// [`bgls_circuit::Gate::U1`] matrices (stabilizer states accept only
-    /// Clifford ones).
-    pub fuse_gates: bool,
     /// Run the full multi-pass optimizer pipeline
     /// ([`bgls_circuit::optimize`]) on circuits before sampling them
-    /// (default `None` = off). When set, this supersedes `fuse_gates`:
-    /// the configured pipeline (cancellation, commutation reordering,
-    /// lightcone pruning, 1q/2q run fusion, optional diagonal-run
-    /// extraction) runs instead of the plain single-qubit fusion.
+    /// (default `None` = off): cancellation, commutation reordering,
+    /// lightcone pruning, 1q/2q run fusion, and optional diagonal-run
+    /// extraction, as configured. Plain single-qubit gate fusion (paper
+    /// Sec. 3.2.2) is `OptimizeConfig { merge_single_qubit_runs: true,
+    /// ..OptimizeConfig::off() }`, which runs [`bgls_circuit::fuse`].
     /// Preserves the sampling distribution and every expectation value
     /// exactly but changes the executed gate sequence, so seeded samples
     /// differ from raw runs. Matrix-producing configurations require a
@@ -138,13 +131,9 @@ impl Default for SimulatorOptions {
             seed: None,
             parallelize_samples: true,
             skip_diagonal_updates: false,
-            parallel_trajectories: true,
             trajectory_forest: true,
             max_forest_nodes: 256,
             parallel_sweep: false,
-            batch_probabilities: true,
-            parallel_redistribution: true,
-            fuse_gates: false,
             optimize: None,
         }
     }
@@ -154,11 +143,10 @@ impl Default for SimulatorOptions {
 pub struct Simulator<S: BglsState> {
     initial_state: S,
     apply_op: ApplyFn<S>,
-    compute_probability: ProbFn<S>,
-    /// Batched candidate-probability hook; `None` falls back to looping
-    /// `compute_probability` (the case for [`Simulator::with_hooks`],
-    /// whose custom scalar hook must stay authoritative).
-    compute_probabilities_batch: Option<BatchProbFn<S>>,
+    /// Candidate-probability hook: the state's batched evaluation for
+    /// [`Simulator::new`], a per-candidate loop over the custom scalar
+    /// hook for [`Simulator::with_hooks`].
+    compute_probabilities: BatchProbFn<S>,
     /// Custom apply hooks may be stochastic (e.g. sum-over-Cliffords), in
     /// which case each sample must re-run the circuit.
     stochastic_apply: bool,
@@ -176,8 +164,7 @@ impl<S: BglsState> Clone for Simulator<S> {
         Simulator {
             initial_state: self.initial_state.clone(),
             apply_op: self.apply_op.clone(),
-            compute_probability: self.compute_probability.clone(),
-            compute_probabilities_batch: self.compute_probabilities_batch.clone(),
+            compute_probabilities: self.compute_probabilities.clone(),
             stochastic_apply: self.stochastic_apply,
             default_hooks: self.default_hooks,
             options: self.options.clone(),
@@ -186,6 +173,35 @@ impl<S: BglsState> Clone for Simulator<S> {
 }
 
 impl<S: BglsState + Send + Sync + 'static> Simulator<S> {
+    /// Builds a simulator from explicit hooks — the paper's three-argument
+    /// constructor. `stochastic_apply` must be `true` when the hook draws
+    /// randomness (disables sample parallelization so each repetition
+    /// explores its own branch).
+    ///
+    /// The scalar hook is wrapped in a per-candidate loop, so it stays
+    /// authoritative for every candidate; replace the loop with
+    /// [`Simulator::with_batch_hook`] when a batched evaluation exists.
+    pub fn with_hooks(
+        initial_state: S,
+        apply_op: ApplyFn<S>,
+        compute_probability: ProbFn<S>,
+        stochastic_apply: bool,
+    ) -> Self {
+        Simulator {
+            initial_state,
+            apply_op,
+            compute_probabilities: Arc::new(move |state, candidates| {
+                candidates
+                    .iter()
+                    .map(|&c| compute_probability(state, c))
+                    .collect()
+            }),
+            stochastic_apply,
+            default_hooks: false,
+            options: SimulatorOptions::default(),
+        }
+    }
+
     /// Decorates the apply hook with a fallible-op gate: before each
     /// operation application, `fault` is consulted with a 1-based
     /// application ordinal and may abort the run by returning `Err`
@@ -215,65 +231,27 @@ impl<S: BglsState + Send + Sync + 'static> Simulator<S> {
 }
 
 impl<S: BglsState + Send + Sync> Simulator<S> {
-    /// Builds a simulator with the default hooks: `apply_op` dispatches to
-    /// [`BglsState::apply_gate`] / [`BglsState::apply_kraus`], and
-    /// `compute_probability` to [`BglsState::probability`].
+    /// Builds a simulator with the default hooks: `apply_op` is
+    /// [`default_apply_op`], and candidate probabilities come from
+    /// [`BglsState::probabilities_batch`].
     pub fn new(initial_state: S) -> Self {
-        let apply: ApplyFn<S> = Arc::new(|state, op, rng| match &op.kind {
-            OpKind::Gate(g) => {
-                let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                state.apply_gate(g, &qs)
-            }
-            OpKind::Channel(c) => {
-                let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                state.apply_kraus(c, &qs, rng).map(|_| ())
-            }
-            OpKind::Measure { .. } => Ok(()), // handled by the sampler
-        });
-        let prob: ProbFn<S> = Arc::new(|state, bits| state.probability(bits));
-        let batch: BatchProbFn<S> =
-            Arc::new(|state, candidates| state.probabilities_batch(candidates));
         Simulator {
             initial_state,
-            apply_op: apply,
-            compute_probability: prob,
-            compute_probabilities_batch: Some(batch),
+            apply_op: Arc::new(|state, op, rng| default_apply_op(state, op, rng)),
+            compute_probabilities: Arc::new(|state, candidates| {
+                state.probabilities_batch(candidates)
+            }),
             stochastic_apply: false,
             default_hooks: true,
             options: SimulatorOptions::default(),
         }
     }
 
-    /// Builds a simulator from explicit hooks — the paper's three-argument
-    /// constructor. `stochastic_apply` must be `true` when the hook draws
-    /// randomness (disables sample parallelization so each repetition
-    /// explores its own branch).
-    ///
-    /// No batched probability hook is installed (the custom scalar hook
-    /// stays authoritative for every candidate); add one with
-    /// [`Simulator::with_batch_hook`] when a batched evaluation exists.
-    pub fn with_hooks(
-        initial_state: S,
-        apply_op: ApplyFn<S>,
-        compute_probability: ProbFn<S>,
-        stochastic_apply: bool,
-    ) -> Self {
-        Simulator {
-            initial_state,
-            apply_op,
-            compute_probability,
-            compute_probabilities_batch: None,
-            stochastic_apply,
-            default_hooks: false,
-            options: SimulatorOptions::default(),
-        }
-    }
-
-    /// Installs a batched candidate-probability hook. The hook must
-    /// return, per candidate, exactly what the scalar hook would — see
+    /// Replaces the candidate-probability hook. The hook must return,
+    /// per candidate, exactly what the scalar probability would — see
     /// [`BatchProbFn`].
     pub fn with_batch_hook(mut self, hook: BatchProbFn<S>) -> Self {
-        self.compute_probabilities_batch = Some(hook);
+        self.compute_probabilities = hook;
         self
     }
 
@@ -343,18 +321,22 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// measurement.
     ///
     /// Determinism: with a fixed seed the returned histograms are
-    /// bit-identical regardless of `batch_probabilities`,
-    /// `parallel_redistribution`, and (on the forest and trajectory
-    /// paths) `parallel_trajectories`. Switching the *engine* —
-    /// `trajectory_forest` on/off, or a forest run falling back on
-    /// budget exhaustion — keys the RNG streams differently, so it
-    /// preserves the distribution but not the individual seeded samples;
-    /// `fuse_gates` likewise changes the executed gate sequence.
+    /// bit-identical for every Rayon thread count — the redistribution,
+    /// forest and replay fan-outs key every random draw by map entry,
+    /// branch history or repetition, never by thread. Switching the
+    /// *engine* — `trajectory_forest` on/off, or a forest run falling
+    /// back on budget exhaustion — keys the RNG streams differently, so
+    /// it preserves the distribution but not the individual seeded
+    /// samples; `optimize` likewise changes the executed gate sequence.
+    ///
+    /// Errors with [`SimError::Unsupported`] when the state is wider
+    /// than [`BitString::MAX_QUBITS`].
     pub fn run(&self, circuit: &Circuit, repetitions: u64) -> Result<RunResult, SimError> {
         if !circuit.has_measurements() {
             return Err(SimError::NoMeasurements);
         }
         self.check_runnable(circuit)?;
+        self.check_bitstring_width()?;
         if repetitions == 0 {
             return Ok(RunResult::new(0));
         }
@@ -363,7 +345,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             return self.run_parallel_samples(&circuit, repetitions);
         }
         if self.can_forest() {
-            match self.run_forest(&circuit, repetitions) {
+            match self.run_forest(&circuit, repetitions, multi_threaded()) {
                 // frontier outgrew max_forest_nodes: replay instead
                 Ok(None) => {}
                 // backend lacks branch/projection capability for some
@@ -376,16 +358,11 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         self.run_trajectories(&circuit, repetitions)
     }
 
-    /// Applies the opportunistic circuit transformations selected by the
-    /// options: the full optimizer pipeline when `optimize` is set,
-    /// otherwise single-qubit gate fusion when `fuse_gates` is set.
+    /// Applies the optimizer pipeline when `optimize` is set.
     fn prepared<'a>(&self, circuit: &'a Circuit) -> std::borrow::Cow<'a, Circuit> {
-        if let Some(config) = &self.options.optimize {
-            std::borrow::Cow::Owned(bgls_circuit::optimize(circuit, config).0)
-        } else if self.options.fuse_gates {
-            std::borrow::Cow::Owned(bgls_circuit::fuse(circuit))
-        } else {
-            std::borrow::Cow::Borrowed(circuit)
+        match &self.options.optimize {
+            Some(config) => std::borrow::Cow::Owned(bgls_circuit::optimize(circuit, config).0),
+            None => std::borrow::Cow::Borrowed(circuit),
         }
     }
 
@@ -474,13 +451,16 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
 
     /// Samples `repetitions` bitstrings from the circuit's *final* state
     /// (measurement operations are ignored). This is the raw gate-by-gate
-    /// sampler used by the overlap experiments of Figs. 4–5.
+    /// sampler used by the overlap experiments of Figs. 4–5. Errors with
+    /// [`SimError::Unsupported`] when the state is wider than
+    /// [`BitString::MAX_QUBITS`].
     pub fn sample_final_bitstrings(
         &self,
         circuit: &Circuit,
         repetitions: u64,
     ) -> Result<Vec<BitString>, SimError> {
         self.check_runnable(circuit)?;
+        self.check_bitstring_width()?;
         let stripped = self.prepared(&circuit.without_measurements()).into_owned();
         let n = self.initial_state.num_qubits();
         if self.can_parallelize(&stripped) {
@@ -511,7 +491,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                 }
                 Ok(out)
             };
-            match rep_chunks(repetitions, self.options.parallel_trajectories) {
+            match rep_chunks(repetitions) {
                 Some(chunks) => {
                     let parts: Result<Vec<Vec<BitString>>, SimError> =
                         chunks.into_par_iter().map(run_chunk).collect();
@@ -520,6 +500,19 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                 None => run_chunk(0..repetitions),
             }
         }
+    }
+
+    /// Sampling carries one [`BitString`] per repetition, so the state
+    /// must fit its width.
+    fn check_bitstring_width(&self) -> Result<(), SimError> {
+        let n = self.initial_state.num_qubits();
+        if n > BitString::MAX_QUBITS {
+            return Err(SimError::Unsupported(format!(
+                "sampling a {n}-qubit state: bitstrings hold at most {} qubits",
+                BitString::MAX_QUBITS
+            )));
+        }
+        Ok(())
     }
 
     fn sample_base_seed(&self) -> u64 {
@@ -740,9 +733,10 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// exact path rejects; circuits with *mid-circuit* measurements are
     /// rejected (their collapse cannot be reproduced after measurement
     /// stripping — use [`Simulator::expectation_value`], which forks
-    /// them exactly). Each group derives its own seed stream from the
-    /// configured seed, so estimates are reproducible and groups are
-    /// statistically independent.
+    /// them exactly), and so are states wider than
+    /// [`BitString::MAX_QUBITS`]. Each group derives its own seed stream
+    /// from the configured seed, so estimates are reproducible and groups
+    /// are statistically independent.
     pub fn estimate_expectation(
         &self,
         circuit: &Circuit,
@@ -772,6 +766,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             ));
         }
         self.check_observable(observable)?;
+        self.check_bitstring_width()?;
         let mut value = 0.0;
         let mut measured = PauliSum::new();
         for (c, p) in observable.terms() {
@@ -872,20 +867,6 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         Ok(map)
     }
 
-    /// Evaluates the candidate probabilities through the batched hook
-    /// when installed and enabled, else through the scalar hook. Both
-    /// paths return bit-identical values (the [`BatchProbFn`] contract),
-    /// so the choice never changes seeded samples.
-    fn candidate_probs(&self, state: &S, candidates: &[BitString]) -> Vec<f64> {
-        match &self.compute_probabilities_batch {
-            Some(batch) if self.options.batch_probabilities => batch(state, candidates),
-            _ => candidates
-                .iter()
-                .map(|&c| (self.compute_probability)(state, c))
-                .collect(),
-        }
-    }
-
     /// One gate-by-gate step on the whole multiplicity map: apply the
     /// operation once, then redistribute every unique bitstring's
     /// multiplicity across its candidates.
@@ -893,9 +874,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// One `u64` is drawn from the step RNG per operation; each map entry
     /// then splits its multiplicity with its own SplitMix stream keyed by
     /// `(step seed, entry bitstring)`, so the redistribution is
-    /// independent of entry order and thread count — the batched,
-    /// scalar, Rayon, and sequential variants all produce bit-identical
-    /// maps.
+    /// independent of entry order and thread count.
     fn step_multiplicity_map(
         &self,
         state: &mut S,
@@ -909,99 +888,29 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         }
         let support: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
         let step_seed: u64 = rng.gen();
-        *map = self.redistribute(state, &support, step_seed, map)?;
+        *map = self.redistribute(state, &support, step_seed, map, multi_threaded())?;
         Ok(())
     }
 
     /// Redistributes every map entry's multiplicity across its candidate
-    /// set — through the batched hook when installed and enabled, else
-    /// the scalar loop. Both variants are bit-identical (see
-    /// [`Simulator::step_multiplicity_map`]).
+    /// set: gathers the candidate sets of a whole run of map entries into
+    /// one buffer, evaluates them with a single probability-hook call,
+    /// then splits each entry against its probability slice. One offset
+    /// table per operation replaces per-entry candidate-index arithmetic.
+    /// Candidate order per entry matches [`BitString::candidates`], the
+    /// order [`Simulator::resample`] draws from.
+    ///
+    /// With `fan_out`, maps of at least 64 entries split across Rayon
+    /// threads; the result is bit-identical either way.
     fn redistribute(
         &self,
         state: &S,
         support: &[usize],
         step_seed: u64,
         map: &FxHashMap<BitString, u64>,
+        fan_out: bool,
     ) -> Result<FxHashMap<BitString, u64>, SimError> {
-        let batch_hook = match &self.compute_probabilities_batch {
-            Some(hook) if self.options.batch_probabilities => Some(hook),
-            _ => None,
-        };
-        match batch_hook {
-            Some(hook) => self.step_map_batched(state, support, step_seed, map, hook),
-            None => self.step_map_scalar(state, support, step_seed, map),
-        }
-    }
-
-    /// True when this redistribution should fan out across Rayon threads.
-    fn redistribute_in_parallel(&self, n_entries: usize) -> bool {
         const PARALLEL_ENTRY_THRESHOLD: usize = 64;
-        self.options.parallel_redistribution
-            && rayon::current_num_threads() > 1
-            && n_entries >= PARALLEL_ENTRY_THRESHOLD
-    }
-
-    /// Scalar redistribution: the paper's per-candidate
-    /// `compute_probability` loop, one hook call per candidate per entry.
-    fn step_map_scalar(
-        &self,
-        state: &S,
-        support: &[usize],
-        step_seed: u64,
-        map: &FxHashMap<BitString, u64>,
-    ) -> Result<FxHashMap<BitString, u64>, SimError> {
-        let csize = 1usize << support.len();
-        let split_chunk = |entries: &[(BitString, u64)],
-                           sink: &mut dyn FnMut(BitString, u64)|
-         -> Result<(), SimError> {
-            let mut probs = Vec::with_capacity(csize);
-            let mut counts = vec![0u64; csize];
-            for &(b, m) in entries {
-                let mut entry_rng = rep_rng(step_seed, b.as_u64());
-                let candidates = b.candidates(support);
-                probs.clear();
-                probs.extend(
-                    candidates
-                        .iter()
-                        .map(|c| (self.compute_probability)(state, *c)),
-                );
-                multinomial_split_into(m, &probs, &mut entry_rng, &mut counts)?;
-                for (c, &cnt) in candidates.iter().zip(&counts) {
-                    if cnt > 0 {
-                        sink(*c, cnt);
-                    }
-                }
-            }
-            Ok(())
-        };
-
-        let entries: Vec<(BitString, u64)> = map.iter().map(|(&b, &m)| (b, m)).collect();
-        let parallel = self.redistribute_in_parallel(entries.len());
-        let mut next: FxHashMap<BitString, u64> = FxHashMap::default();
-        next.reserve(entries.len());
-        run_split(&entries, &split_chunk, parallel, &mut |c, cnt| {
-            *next.entry(c).or_insert(0) += cnt;
-        })?;
-        Ok(next)
-    }
-
-    /// Batched redistribution: gathers the candidate sets of a whole run
-    /// of map entries into one buffer, evaluates them with a single
-    /// batched-hook call, then splits each entry against its probability
-    /// slice. Amortizes candidate-index arithmetic (one offset table per
-    /// operation instead of per entry) and eliminates every per-entry
-    /// allocation of the scalar loop. Candidate order per entry matches
-    /// [`BitString::candidates`], so the chained-binomial splits consume
-    /// their per-entry RNG streams exactly as the scalar path does.
-    fn step_map_batched(
-        &self,
-        state: &S,
-        support: &[usize],
-        step_seed: u64,
-        map: &FxHashMap<BitString, u64>,
-        hook: &BatchProbFn<S>,
-    ) -> Result<FxHashMap<BitString, u64>, SimError> {
         let width = self.initial_state.num_qubits();
         let csize = 1usize << support.len();
         // offsets[v] scatters candidate index v onto the support qubits;
@@ -1031,7 +940,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                         .map(|&o| BitString::from_u64(width, base | o)),
                 );
             }
-            let probs = hook(state, &candidates);
+            let probs = (self.compute_probabilities)(state, &candidates);
             debug_assert_eq!(probs.len(), candidates.len());
             let mut counts = vec![0u64; csize];
             for (i, (b, m)) in entries.iter().enumerate() {
@@ -1052,7 +961,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         };
 
         let entries: Vec<(BitString, u64)> = map.iter().map(|(&b, &m)| (b, m)).collect();
-        let go_parallel = self.redistribute_in_parallel(entries.len());
+        let go_parallel = fan_out && entries.len() >= PARALLEL_ENTRY_THRESHOLD;
 
         // Candidates of different entries frequently coincide; when the
         // candidate volume is a sizable fraction of the value space,
@@ -1105,12 +1014,13 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// the base seed and its branch history ([`stream_seed`]); all
     /// randomness — redistribution step seeds, branch multinomials —
     /// is a pure function of `(stream, op index)`, so histograms are
-    /// bit-identical across thread counts and across the batched /
-    /// scalar probability paths.
+    /// bit-identical whether `fan_out` spreads the frontier sweeps and
+    /// redistributions across Rayon threads or not.
     fn run_forest(
         &self,
         circuit: &Circuit,
         repetitions: u64,
+        fan_out: bool,
     ) -> Result<Option<RunResult>, SimError> {
         let n = self.initial_state.num_qubits();
         let terminal = circuit.measurements_are_terminal();
@@ -1138,7 +1048,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                     // after the final op, so only interior measurements
                     // fork.
                     if !terminal && t + 1 < op_count {
-                        match self.forest_collapse(nodes, &qs, t)? {
+                        match self.forest_collapse(nodes, &qs, t, fan_out)? {
                             Some(next) => nodes = next,
                             None => return Ok(None),
                         }
@@ -1146,38 +1056,17 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                 }
                 OpKind::Channel(ch) if !self.initial_state.channels_are_deterministic() => {
                     let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                    match self.forest_branch(nodes, ch, &qs, t)? {
+                    match self.forest_branch(nodes, ch, &qs, t, fan_out)? {
                         Some(next) => nodes = next,
                         None => return Ok(None),
                     }
                 }
                 _ => {
-                    nodes = self.forest_step(nodes, op, t)?;
+                    nodes = self.forest_step(nodes, op, t, fan_out)?;
                 }
             }
         }
         Ok(Some(result))
-    }
-
-    /// True when a frontier sweep should fan out across Rayon threads.
-    fn forest_in_parallel(&self, n_items: usize) -> bool {
-        self.options.parallel_trajectories && n_items > 1 && rayon::current_num_threads() > 1
-    }
-
-    /// Maps a fallible function over frontier items, across Rayon threads
-    /// when enabled. Everything mapped here derives its randomness from
-    /// per-item stream keys, so the sweep order never affects results.
-    fn forest_map<T, U, F>(&self, items: Vec<T>, f: F) -> Result<Vec<U>, SimError>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> Result<U, SimError> + Sync,
-    {
-        if self.forest_in_parallel(items.len()) {
-            items.into_par_iter().map(&f).collect()
-        } else {
-            items.into_iter().map(&f).collect()
-        }
     }
 
     /// Deterministic forest advance: apply the operation to every node
@@ -1186,36 +1075,23 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// from the node's stream instead of a shared sequential RNG.
     fn forest_step(
         &self,
-        mut nodes: Vec<ForestNode<S>>,
+        nodes: Vec<ForestNode<S>>,
         op: &Operation,
         t: u64,
+        fan_out: bool,
     ) -> Result<Vec<ForestNode<S>>, SimError> {
-        let advance = |node: &mut ForestNode<S>| -> Result<(), SimError> {
+        map_frontier(nodes, fan_out, |mut node| {
             // Hook-compatible RNG; the default hook draws nothing for
             // gates, and deterministic channels ignore it.
             let mut rng = rep_rng(node.stream, t);
             (self.apply_op)(&mut node.state, op, &mut rng)?;
-            if self.skip_update(op) {
-                return Ok(());
+            if !self.skip_update(op) {
+                let support: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+                let seed = stream_seed(node.stream, t);
+                node.map = self.redistribute(&node.state, &support, seed, &node.map, fan_out)?;
             }
-            let support: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-            node.map = self.redistribute(
-                &node.state,
-                &support,
-                stream_seed(node.stream, t),
-                &node.map,
-            )?;
-            Ok(())
-        };
-        if self.forest_in_parallel(nodes.len()) {
-            let results: Result<Vec<()>, SimError> = nodes.par_iter_mut().map(&advance).collect();
-            results?;
-        } else {
-            for node in &mut nodes {
-                advance(node)?;
-            }
-        }
-        Ok(nodes)
+            Ok(node)
+        })
     }
 
     /// Stochastic-channel branch point: every node splits each map
@@ -1236,13 +1112,14 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         channel: &Channel,
         support: &[usize],
         t: u64,
+        fan_out: bool,
     ) -> Result<Option<Vec<ForestNode<S>>>, SimError> {
         struct Plan<S> {
             state: S,
             branch_seed: u64,
             branch_maps: Vec<FxHashMap<BitString, u64>>,
         }
-        let plans: Vec<Plan<S>> = self.forest_map(nodes, |node| {
+        let plans: Vec<Plan<S>> = map_frontier(nodes, fan_out, |node| {
             let probs = node.state.kraus_branch_probabilities(channel, support)?;
             let branch_seed = stream_seed(node.stream, t);
             let mut branch_maps: Vec<FxHashMap<BitString, u64>> =
@@ -1270,7 +1147,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         if children_total > self.options.max_forest_nodes {
             return Ok(None);
         }
-        let parts = self.forest_map(plans, |plan| {
+        let parts = map_frontier(plans, fan_out, |plan| {
             let occupied = plan.branch_maps.iter().filter(|m| !m.is_empty()).count();
             let mut parent = Some(plan.state);
             let mut remaining = occupied;
@@ -1289,7 +1166,8 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                 state.apply_kraus_branch(channel, j, support)?;
                 let stream = stream_seed(plan.branch_seed, 1 + j as u64);
                 // the BGLS bitstring update after the channel application
-                let map = self.redistribute(&state, support, stream_seed(stream, t), &map)?;
+                let seed = stream_seed(stream, t);
+                let map = self.redistribute(&state, support, seed, &map, fan_out)?;
                 children.push(ForestNode { state, map, stream });
             }
             Ok(children)
@@ -1309,13 +1187,14 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         nodes: Vec<ForestNode<S>>,
         support: &[usize],
         t: u64,
+        fan_out: bool,
     ) -> Result<Option<Vec<ForestNode<S>>>, SimError> {
         struct Plan<S> {
             state: S,
             fork_seed: u64,
             outcomes: Vec<(u64, FxHashMap<BitString, u64>)>,
         }
-        let plans: Vec<Plan<S>> = self.forest_map(nodes, |node| {
+        let plans: Vec<Plan<S>> = map_frontier(nodes, fan_out, |node| {
             let mut groups: FxHashMap<u64, FxHashMap<BitString, u64>> = FxHashMap::default();
             for (&b, &m) in &node.map {
                 groups
@@ -1335,7 +1214,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         if children_total > self.options.max_forest_nodes {
             return Ok(None);
         }
-        let parts = self.forest_map(plans, |plan| {
+        let parts = map_frontier(plans, fan_out, |plan| {
             let total = plan.outcomes.len();
             let mut parent = Some(plan.state);
             let mut children = Vec::with_capacity(total);
@@ -1390,7 +1269,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             Ok(result)
         };
 
-        match rep_chunks(repetitions, self.options.parallel_trajectories) {
+        match rep_chunks(repetitions) {
             Some(chunks) => chunks
                 .into_par_iter()
                 .map(run_chunk)
@@ -1483,7 +1362,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         rng: &mut StdRng,
     ) -> Result<BitString, SimError> {
         let candidates = b.candidates(support);
-        let probs = self.candidate_probs(state, &candidates);
+        let probs = (self.compute_probabilities)(state, &candidates);
         let idx = categorical(&probs, rng)?;
         Ok(candidates[idx])
     }
@@ -1498,6 +1377,29 @@ struct ForestNode<S> {
     /// SplitMix stream key encoding this node's branch history; all of
     /// the node's randomness derives from `(stream, op index)`.
     stream: u64,
+}
+
+/// True when this process runs more than one Rayon thread — the one
+/// condition under which the engine fans work out.
+fn multi_threaded() -> bool {
+    rayon::current_num_threads() > 1
+}
+
+/// Maps a fallible function over trajectory-forest frontier items, across
+/// Rayon threads when `fan_out` and there are several. Everything mapped
+/// here derives its randomness from per-item stream keys, and results
+/// keep item order, so the mode never affects results.
+fn map_frontier<T, U, F>(items: Vec<T>, fan_out: bool, f: F) -> Result<Vec<U>, SimError>
+where
+    T: Send,
+    U: Send,
+    F: Fn(T) -> Result<U, SimError> + Sync,
+{
+    if fan_out && items.len() > 1 {
+        items.into_par_iter().map(&f).collect()
+    } else {
+        items.into_iter().map(&f).collect()
+    }
 }
 
 /// Runs a redistribution splitter over `entries` and feeds every nonzero
@@ -1566,9 +1468,9 @@ fn rep_rng(seed: u64, rep: u64) -> StdRng {
 /// `None` when the work should stay sequential. Per-repetition RNG
 /// streams are keyed by the absolute repetition index, so the chunking
 /// never changes results.
-fn rep_chunks(repetitions: u64, parallel: bool) -> Option<Vec<std::ops::Range<u64>>> {
+fn rep_chunks(repetitions: u64) -> Option<Vec<std::ops::Range<u64>>> {
     let threads = rayon::current_num_threads() as u64;
-    if !parallel || repetitions <= 1 || threads <= 1 {
+    if repetitions <= 1 || threads <= 1 {
         return None;
     }
     let chunk_len = repetitions.div_ceil(threads).max(1);
@@ -1749,12 +1651,11 @@ mod tests {
     fn trajectory_path_matches_parallel_path_distribution() {
         let c = ghz(2);
         let par = Simulator::new(RefState::zero(2)).with_seed(1);
-        let mut opts = SimulatorOptions {
+        let opts = SimulatorOptions {
             parallelize_samples: false,
             seed: Some(2),
             ..Default::default()
         };
-        opts.parallel_trajectories = false;
         let traj = Simulator::new(RefState::zero(2)).with_options(opts);
         let hp = par.run(&c, 2000).unwrap();
         let ht = traj.run(&c, 2000).unwrap();
@@ -1827,12 +1728,7 @@ mod tests {
         let mut c = Circuit::new();
         c.push(Operation::channel(Channel::bit_flip(0.3).unwrap(), vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let opts = SimulatorOptions {
-            seed: Some(11),
-            parallel_trajectories: false,
-            ..Default::default()
-        };
-        let sim = Simulator::new(RefState::zero(1)).with_options(opts);
+        let sim = Simulator::new(RefState::zero(1)).with_seed(11);
         let r = sim.run(&c, 2000).unwrap();
         let flips = r.histogram("m").unwrap().count_value(1);
         // expect ~600
@@ -1840,16 +1736,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_trajectories_match_sequential_statistics() {
+    fn noisy_fan_out_conserves_repetitions_and_statistics() {
         let mut c = Circuit::new();
         c.push(Operation::channel(Channel::bit_flip(0.5).unwrap(), vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let opts = SimulatorOptions {
-            seed: Some(21),
-            parallel_trajectories: true,
-            ..Default::default()
-        };
-        let sim = Simulator::new(RefState::zero(1)).with_options(opts);
+        let sim = Simulator::new(RefState::zero(1)).with_seed(21);
         let r = sim.run(&c, 4000).unwrap();
         assert_eq!(r.repetitions(), 4000);
         let h = r.histogram("m").unwrap();
@@ -1866,12 +1757,7 @@ mod tests {
         c.push(Operation::measure(vec![Qubit(0)], "a").unwrap());
         c.push(Operation::gate(Gate::Cnot, vec![Qubit(0), Qubit(1)]).unwrap());
         c.push(Operation::measure(vec![Qubit(1)], "b").unwrap());
-        let opts = SimulatorOptions {
-            seed: Some(8),
-            parallel_trajectories: false,
-            ..Default::default()
-        };
-        let sim = Simulator::new(RefState::zero(2)).with_options(opts);
+        let sim = Simulator::new(RefState::zero(2)).with_seed(8);
         let r = sim.run(&c, 400).unwrap();
         let a1 = r.histogram("a").unwrap().count_value(1);
         let b1 = r.histogram("b").unwrap().count_value(1);
@@ -2139,40 +2025,60 @@ mod tests {
         c
     }
 
-    #[test]
-    fn parallel_and_serial_redistribution_are_bit_identical() {
-        let c = entangling_circuit(5);
-        let run = |parallel: bool| {
-            let opts = SimulatorOptions {
-                seed: Some(13),
-                parallel_redistribution: parallel,
-                ..Default::default()
-            };
-            Simulator::new(RefState::zero(5))
-                .with_options(opts)
-                .run(&c, 4000)
-                .unwrap()
-        };
-        let a = run(true);
-        let b = run(false);
-        assert_eq!(a.histogram("z"), b.histogram("z"));
+    /// The paper's scalar probability hook, as [`Simulator::with_hooks`]
+    /// takes it.
+    fn scalar_prob() -> ProbFn<RefState> {
+        Arc::new(|s, b| s.probability(b))
+    }
+
+    /// A batch hook that evaluates one candidate at a time.
+    fn per_candidate_hook() -> BatchProbFn<RefState> {
+        Arc::new(|s, cands| cands.iter().map(|&c| s.probability(c)).collect())
     }
 
     #[test]
-    fn batch_and_scalar_probability_paths_are_bit_identical() {
-        let c = entangling_circuit(4);
-        let run = |batch: bool| {
-            let opts = SimulatorOptions {
-                seed: Some(29),
-                batch_probabilities: batch,
-                ..Default::default()
-            };
-            Simulator::new(RefState::zero(4))
-                .with_options(opts)
-                .run(&c, 3000)
+    fn redistribution_fan_out_is_bit_identical_to_serial() {
+        // 7 qubits in uniform superposition, every basis state holding a
+        // few repetitions: a 128-entry map, over the fan-out threshold
+        let n = 7;
+        let mut state = RefState::zero(n);
+        for q in 0..n {
+            state.apply_gate(&Gate::H, &[q]).unwrap();
+        }
+        state.apply_gate(&Gate::T, &[3]).unwrap();
+        state.apply_gate(&Gate::Cnot, &[3, 5]).unwrap();
+        let map: FxHashMap<BitString, u64> = (0..1u64 << n)
+            .map(|v| (BitString::from_u64(n, v), 1 + v % 5))
+            .collect();
+        let sim = Simulator::new(RefState::zero(n));
+        let split = |fan_out: bool| {
+            sim.redistribute(&state, &[3, 5], 13, &map, fan_out)
                 .unwrap()
         };
-        assert_eq!(run(true).histogram("z"), run(false).histogram("z"));
+        let serial = split(false);
+        assert_eq!(serial.values().sum::<u64>(), map.values().sum::<u64>());
+        assert_eq!(split(true), serial);
+    }
+
+    #[test]
+    fn with_hooks_samples_bit_identically_to_the_batched_hook() {
+        let c = entangling_circuit(4);
+        let batched = Simulator::new(RefState::zero(4)).with_seed(29);
+        let scalar = Simulator::with_hooks(
+            RefState::zero(4),
+            Arc::new(default_apply_op),
+            scalar_prob(),
+            false,
+        )
+        .with_seed(29);
+        assert_eq!(
+            batched.run(&c, 3000).unwrap().histogram("z"),
+            scalar.run(&c, 3000).unwrap().histogram("z")
+        );
+        assert_eq!(
+            batched.sample_final_bitstrings(&c, 500).unwrap(),
+            scalar.sample_final_bitstrings(&c, 500).unwrap()
+        );
     }
 
     #[test]
@@ -2190,69 +2096,60 @@ mod tests {
         assert!(BATCH_CALLS.load(Ordering::Relaxed) > 0);
     }
 
+    /// Plain single-qubit gate fusion through the optimizer.
+    fn merge_1q(seed: u64) -> SimulatorOptions {
+        SimulatorOptions {
+            seed: Some(seed),
+            optimize: Some(bgls_circuit::OptimizeConfig {
+                merge_single_qubit_runs: true,
+                ..bgls_circuit::OptimizeConfig::off()
+            }),
+            ..Default::default()
+        }
+    }
+
     #[test]
-    fn fuse_gates_is_bit_identical_when_op_count_is_unchanged() {
+    fn single_qubit_fusion_is_bit_identical_when_op_count_is_unchanged() {
         // GHZ has no multi-gate single-qubit runs: fusion just rewraps H
         // as the identical U1 matrix, so RNG consumption and probabilities
         // match the unfused run exactly.
         let c = ghz(3);
-        let run = |fuse: bool| {
-            let opts = SimulatorOptions {
-                seed: Some(41),
-                fuse_gates: fuse,
-                ..Default::default()
-            };
-            Simulator::new(RefState::zero(3))
-                .with_options(opts)
-                .run(&c, 2000)
-                .unwrap()
-        };
-        assert_eq!(run(true).histogram("z"), run(false).histogram("z"));
+        let fused = Simulator::new(RefState::zero(3)).with_options(merge_1q(41));
+        let raw = Simulator::new(RefState::zero(3)).with_seed(41);
+        assert_eq!(
+            fused.run(&c, 2000).unwrap().histogram("z"),
+            raw.run(&c, 2000).unwrap().histogram("z")
+        );
     }
 
     #[test]
-    fn fuse_gates_preserves_distribution_on_single_qubit_runs() {
+    fn single_qubit_fusion_preserves_distribution() {
         // H T H on one qubit fuses to a single U1; P(0) = cos^2(pi/8).
         let mut c = Circuit::new();
         c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
         c.push(Operation::gate(Gate::T, vec![Qubit(0)]).unwrap());
         c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let opts = SimulatorOptions {
-            seed: Some(5),
-            fuse_gates: true,
-            ..Default::default()
-        };
-        let sim = Simulator::new(RefState::zero(1)).with_options(opts);
+        let sim = Simulator::new(RefState::zero(1)).with_options(merge_1q(5));
         let r = sim.run(&c, 4000).unwrap();
         let f0 = r.histogram("m").unwrap().frequency(BitString::zeros(1));
         assert!((f0 - 0.8536).abs() < 0.03, "f0 = {f0}");
         // determinism: the fused run reproduces under the same seed
         let again = Simulator::new(RefState::zero(1))
-            .with_options(SimulatorOptions {
-                seed: Some(5),
-                fuse_gates: true,
-                ..Default::default()
-            })
+            .with_options(merge_1q(5))
             .run(&c, 4000)
             .unwrap();
         assert_eq!(r.histogram("m"), again.histogram("m"));
     }
 
     #[test]
-    fn fuse_gates_applies_on_the_trajectory_path_too() {
+    fn single_qubit_fusion_applies_on_the_trajectory_path_too() {
         let mut c = Circuit::new();
         c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
         c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap()); // cancels
         c.push(Operation::channel(Channel::bit_flip(0.3).unwrap(), vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let opts = SimulatorOptions {
-            seed: Some(11),
-            fuse_gates: true,
-            parallel_trajectories: false,
-            ..Default::default()
-        };
-        let sim = Simulator::new(RefState::zero(1)).with_options(opts);
+        let sim = Simulator::new(RefState::zero(1)).with_options(merge_1q(11));
         let r = sim.run(&c, 2000).unwrap();
         let flips = r.histogram("m").unwrap().count_value(1);
         assert!(flips > 450 && flips < 750, "flips = {flips}");
@@ -2310,19 +2207,10 @@ mod tests {
     }
 
     #[test]
-    fn forest_parallel_and_serial_are_bit_identical() {
+    fn forest_fan_out_and_serial_are_bit_identical() {
         let c = noisy_mid_circuit_circuit(4, 0.15);
-        let run = |parallel: bool| {
-            let opts = SimulatorOptions {
-                parallel_trajectories: parallel,
-                parallel_redistribution: parallel,
-                ..forest_opts(32)
-            };
-            Simulator::new(RefState::zero(4))
-                .with_options(opts)
-                .run(&c, 3000)
-                .unwrap()
-        };
+        let sim = Simulator::new(RefState::zero(4)).with_options(forest_opts(32));
+        let run = |fan_out: bool| sim.run_forest(&c, 3000, fan_out).unwrap().unwrap();
         let a = run(true);
         let b = run(false);
         assert_eq!(a.histogram("fin"), b.histogram("fin"));
@@ -2332,18 +2220,10 @@ mod tests {
     #[test]
     fn forest_batched_and_scalar_are_bit_identical() {
         let c = noisy_mid_circuit_circuit(4, 0.15);
-        let run = |batch: bool| {
-            let opts = SimulatorOptions {
-                batch_probabilities: batch,
-                ..forest_opts(33)
-            };
-            Simulator::new(RefState::zero(4))
-                .with_options(opts)
-                .run(&c, 3000)
-                .unwrap()
-        };
-        let a = run(true);
-        let b = run(false);
+        let batched = Simulator::new(RefState::zero(4)).with_options(forest_opts(33));
+        let scalar = batched.clone().with_batch_hook(per_candidate_hook());
+        let a = batched.run(&c, 3000).unwrap();
+        let b = scalar.run(&c, 3000).unwrap();
         assert_eq!(a.histogram("fin"), b.histogram("fin"));
         assert_eq!(a.histogram("mid"), b.histogram("mid"));
     }
@@ -2418,20 +2298,13 @@ mod tests {
         let mut c = Circuit::new();
         c.push(Operation::channel(Channel::bit_flip(0.4).unwrap(), vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let apply: ApplyFn<RefState> = Arc::new(|s, op, rng| match &op.kind {
-            OpKind::Gate(g) => {
-                let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                s.apply_gate(g, &qs)
-            }
-            OpKind::Channel(ch) => {
-                let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                s.apply_kraus(ch, &qs, rng).map(|_| ())
-            }
-            OpKind::Measure { .. } => Ok(()),
-        });
-        let prob: ProbFn<RefState> = Arc::new(|s, b| s.probability(b));
-        let hooked = Simulator::with_hooks(RefState::zero(1), apply, prob, false)
-            .with_options(forest_opts(37));
+        let hooked = Simulator::with_hooks(
+            RefState::zero(1),
+            Arc::new(default_apply_op),
+            scalar_prob(),
+            false,
+        )
+        .with_options(forest_opts(37));
         let replay = Simulator::new(RefState::zero(1)).with_options(SimulatorOptions {
             trajectory_forest: false,
             ..forest_opts(37)
@@ -2476,27 +2349,12 @@ mod tests {
         // here we just count invocations to prove the hook wiring.
         use std::sync::atomic::{AtomicUsize, Ordering};
         static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let state = RefState::zero(2);
-        let apply: ApplyFn<RefState> = Arc::new(|s, op, rng| {
-            let default = Simulator::new(s.clone());
-            let _ = default; // the default hook body, inlined:
-            match &op.kind {
-                OpKind::Gate(g) => {
-                    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                    s.apply_gate(g, &qs)
-                }
-                OpKind::Channel(c) => {
-                    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                    s.apply_kraus(c, &qs, rng).map(|_| ())
-                }
-                OpKind::Measure { .. } => Ok(()),
-            }
-        });
         let prob: ProbFn<RefState> = Arc::new(|s, b| {
             CALLS.fetch_add(1, Ordering::Relaxed);
             s.probability(b)
         });
-        let sim = Simulator::with_hooks(state, apply, prob, false).with_seed(1);
+        let sim = Simulator::with_hooks(RefState::zero(2), Arc::new(default_apply_op), prob, false)
+            .with_seed(1);
         let _ = sim.run(&ghz(2), 10).unwrap();
         assert!(CALLS.load(Ordering::Relaxed) > 0);
     }

@@ -7,7 +7,7 @@ use bgls_circuit::{
     lightcone_prune_for, optimize, Circuit, OptimizeConfig, PassStats, PauliSum, Qubit,
     RewriteStats,
 };
-use bgls_core::{RunResult, SimError, Simulator, SimulatorOptions};
+use bgls_core::{BitString, RunResult, SimError, Simulator, SimulatorOptions};
 use bgls_linalg::FxHasher;
 use std::hash::{Hash, Hasher};
 
@@ -189,8 +189,8 @@ impl ExecutionPlan {
     /// result: the backend, the execution path, the result-affecting
     /// options, and the optimizer pipeline configuration (an optimized
     /// circuit executes a different gate sequence than its raw form, so
-    /// the two must never share a cache entry). Parallelism toggles are
-    /// excluded — the engine's determinism contract makes them
+    /// the two must never share a cache entry). `parallel_sweep` is
+    /// excluded — the engine's determinism contract makes it
     /// bit-identical. The path matters because a degraded
     /// [`ExecPath::ShotEstimate`] produces different numbers than the
     /// exact walk on the same backend and options. This is the
@@ -203,7 +203,6 @@ impl ExecutionPlan {
         self.options.skip_diagonal_updates.hash(&mut h);
         self.options.trajectory_forest.hash(&mut h);
         self.options.max_forest_nodes.hash(&mut h);
-        self.options.fuse_gates.hash(&mut h);
         self.optimize.map(|c| c.fingerprint()).hash(&mut h);
         self.options.optimize.map(|c| c.fingerprint()).hash(&mut h);
         h.finish()
@@ -245,7 +244,8 @@ fn observable_targets(observable: &PauliSum) -> Vec<Qubit> {
 /// Errors with [`SimError::Invalid`] on unresolved parameters and
 /// [`SimError::Unsupported`] when no backend fits (e.g. a wide circuit
 /// with Toffoli-class gates that MPS cannot take and dense memory
-/// cannot hold).
+/// cannot hold) or a histogram is asked of a circuit wider than
+/// [`BitString::MAX_QUBITS`], the widest sampled outcome.
 pub fn plan(
     circuit: &Circuit,
     deliverable: &Deliverable,
@@ -338,6 +338,15 @@ pub fn plan_prepared(
              (or submit it with a resolver)"
                 .into(),
         ));
+    }
+    if let Deliverable::Histogram { .. } = deliverable {
+        let n = prep.profile.num_qubits;
+        if n > BitString::MAX_QUBITS {
+            return Err(SimError::Unsupported(format!(
+                "histogram of a {n}-qubit circuit: sampled bitstrings hold at most {} qubits",
+                BitString::MAX_QUBITS
+            )));
+        }
     }
     // Expectation deliverables execute the observable-lightcone-pruned
     // circuit (the one pass that commutes with parameter resolution, so
@@ -1099,10 +1108,10 @@ mod tests {
         let p1 = plan(&measured_ghz(4), &hist(), &PlannerConfig::default()).unwrap();
         let mut p2 = p1.clone();
         assert_eq!(p1.fingerprint(), p2.fingerprint());
-        p2.options.fuse_gates = true;
+        p2.options.skip_diagonal_updates = true;
         assert_ne!(p1.fingerprint(), p2.fingerprint());
         let mut p3 = p1.clone();
-        p3.options.parallel_trajectories = false; // bit-identical by contract
+        p3.options.parallel_sweep = true; // bit-identical by contract
         assert_eq!(p1.fingerprint(), p3.fingerprint());
     }
 }

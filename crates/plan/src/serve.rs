@@ -354,7 +354,12 @@ fn admit(shared: &Shared, (ticket, request): Msg) {
             return;
         }
     }
-    let submitted = lock(&shared.service).submit(request);
+    // The service lock is held until the job → ticket binding is
+    // written: another worker's run_pending/take_finished can only see
+    // the job after `publish` is able to find its ticket, so a fast
+    // result (a cache hit) is never dropped unpublished.
+    let mut svc = lock(&shared.service);
+    let submitted = svc.submit(request);
     let mut slots = lock(&shared.slots);
     match submitted {
         Ok(job) => {
@@ -363,8 +368,7 @@ fn admit(shared: &Shared, (ticket, request): Msg) {
                 lock(&shared.jobmap).insert(job.0, ticket);
             } else {
                 // cancelled in the window between the two looks
-                drop(slots);
-                lock(&shared.service).cancel(job);
+                svc.cancel(job);
             }
         }
         Err(err) => {
@@ -372,6 +376,7 @@ fn admit(shared: &Shared, (ticket, request): Msg) {
             // queue): the ticket resolves with the typed error
             slots.insert(ticket, SlotState::Done(Err(err)));
             drop(slots);
+            drop(svc);
             shared.done_cv.notify_all();
         }
     }
@@ -608,6 +613,34 @@ mod tests {
             report.rewrite
         );
         handle.shutdown();
+    }
+
+    #[test]
+    fn cache_hits_under_many_workers_always_resolve() {
+        // Repeated seeded requests are cache hits: a draining worker
+        // settles them at once, racing the admitting worker's ticket
+        // binding. Every ticket must still resolve.
+        let policy = ServePolicy {
+            workers: 4,
+            ..ServePolicy::default()
+        };
+        let handle = ServiceHandle::start(ServiceConfig::default(), policy).unwrap();
+        for round in 0..40u64 {
+            let tickets: Vec<Ticket> = (0..64)
+                .map(|i| {
+                    let request = SimRequest::histogram(bell(), 16).with_seed((round + i) % 3);
+                    handle.submit(request).unwrap()
+                })
+                .collect();
+            for t in tickets {
+                let result = handle
+                    .wait_timeout(t, 10_000)
+                    .unwrap_or_else(|| panic!("round {round}: ticket {} never resolved", t.0));
+                assert!(result.is_ok(), "round {round}: {result:?}");
+            }
+        }
+        let stats = handle.shutdown();
+        assert_eq!(stats.completed, 40 * 64);
     }
 
     #[test]

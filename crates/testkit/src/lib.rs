@@ -15,15 +15,16 @@
 
 #![warn(missing_docs)]
 
-use bgls_backend::{BackendKind, SimulatorExt};
+use bgls_backend::{AnyState, BackendKind, SimulatorExt};
 use bgls_circuit::{
     generate_random_circuit, Channel, Circuit, Gate, Operation, PauliOp, PauliString, PauliSum,
     Qubit, RandomCircuitParams,
 };
-use bgls_core::{BitString, SimError, Simulator, SimulatorOptions};
+use bgls_core::{BatchProbFn, BglsState, BitString, SimError, Simulator, SimulatorOptions};
 use bgls_linalg::C64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// The circuit families of the conformance battery. Every backend that
 /// [`supports`] a class must reproduce the exact reference behaviour on
@@ -295,9 +296,20 @@ pub fn sample_counts(
     reps: u64,
     opts: SimulatorOptions,
 ) -> Result<Vec<u64>, SimError> {
+    sample_counts_on(&Simulator::for_backend(kind, n, opts), circuit, n, reps)
+}
+
+/// [`sample_counts`] on a caller-built simulator, e.g. one with a
+/// replaced probability hook.
+pub fn sample_counts_on(
+    sim: &Simulator<AnyState>,
+    circuit: &Circuit,
+    n: usize,
+    reps: u64,
+) -> Result<Vec<u64>, SimError> {
     let mut measured = circuit.clone();
     measured.push(Operation::measure(Qubit::range(n), "conf").unwrap());
-    let result = Simulator::for_backend(kind, n, opts).run(&measured, reps)?;
+    let result = sim.run(&measured, reps)?;
     let h = result
         .histogram("conf")
         .expect("appended readout key must be recorded");
@@ -306,7 +318,7 @@ pub fn sample_counts(
 
 /// Folds a seeded sampling run into an FNV-1a digest of its histogram —
 /// the unit of the battery's bit-identity assertions (same seed, any
-/// parallelism knobs or thread count, same digest).
+/// probability hook or thread count, same digest).
 pub fn sample_digest(
     kind: BackendKind,
     circuit: &Circuit,
@@ -314,12 +326,24 @@ pub fn sample_digest(
     reps: u64,
     opts: SimulatorOptions,
 ) -> Result<u64, SimError> {
-    let counts = sample_counts(kind, circuit, n, reps, opts)?;
+    Ok(digest_counts(&sample_counts(kind, circuit, n, reps, opts)?))
+}
+
+/// FNV-1a over a count vector, as [`sample_digest`] folds it.
+pub fn digest_counts(counts: &[u64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &c in &counts {
+    for &c in counts {
         fnv1a(&mut h, c);
     }
-    Ok(h)
+    h
+}
+
+/// A probability hook that evaluates one candidate at a time through
+/// [`BglsState::probability`] — the scalar reference the batched
+/// [`BglsState::probabilities_batch`] must reproduce bit for bit.
+/// Install it with [`Simulator::with_batch_hook`].
+pub fn per_candidate_hook() -> BatchProbFn<AnyState> {
+    Arc::new(|state, candidates| candidates.iter().map(|&c| state.probability(c)).collect())
 }
 
 /// FNV-1a over a sample vector: order-sensitive, so equal digests mean

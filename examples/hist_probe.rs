@@ -1,44 +1,107 @@
 //! Determinism probe: prints seeded sampling histograms for the
-//! chain-MPS (chi=32) and lazy-network backends. Diff the output across
-//! revisions (or across `RAYON_NUM_THREADS` settings) to check that a
-//! kernel change left seeded sampling behaviour bit-identical:
+//! chain-MPS (chi=32) and lazy-network backends, then for three engine
+//! paths on the statevector: a multiplicity map wide enough to fan out
+//! across Rayon threads, a noisy trajectory-forest run, and the paper's
+//! three-hook constructor (`Simulator::with_hooks`). Diff the output
+//! across revisions (or across `RAYON_NUM_THREADS` settings) to check
+//! that a change left seeded sampling behaviour bit-identical:
 //!
 //! ```text
 //! cargo run --release --example hist_probe > before.txt
 //! # ... apply changes ...
 //! cargo run --release --example hist_probe | diff before.txt -
+//! RAYON_NUM_THREADS=1 cargo run --release --example hist_probe > t1.txt
+//! RAYON_NUM_THREADS=4 cargo run --release --example hist_probe | diff t1.txt -
 //! ```
 
 use bgls_apps::{brickwork_circuit, random_u2_brickwork};
-use bgls_core::Simulator;
+use bgls_circuit::{Channel, Circuit, Gate, Operation, Qubit};
+use bgls_core::{default_apply_op, BglsState, BitString, Histogram, Simulator};
 use bgls_mps::{ChainMps, LazyNetworkState, MpsOptions};
+use bgls_statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+
+fn print_samples(label: &str, samples: &[BitString]) {
+    let mut hist: std::collections::BTreeMap<String, u64> = Default::default();
+    for b in samples {
+        *hist.entry(format!("{b}")).or_insert(0) += 1;
+    }
+    println!("{label}:");
+    for (b, c) in &hist {
+        println!("  {b} {c}");
+    }
+}
+
+fn print_histogram(label: &str, h: &Histogram) {
+    println!("{label} ({} outcomes):", h.support_size());
+    for (b, c) in h.iter_sorted() {
+        println!("  {b} {c}");
+    }
+}
+
+/// An 8-qubit brickwork circuit with a full readout: its multiplicity
+/// map holds well over the 64 entries at which redistribution fans out.
+fn wide_map_circuit() -> Circuit {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut c = brickwork_circuit(8, 6, &mut rng);
+    c.push(Operation::measure(Qubit::range(8), "m").unwrap());
+    c
+}
+
+/// A brickwork spread, then sparse bit-flip noise and a mid-circuit
+/// measurement: a trajectory-forest run whose frontier stays inside the
+/// default budget.
+fn noisy_forest_circuit() -> Circuit {
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut c = brickwork_circuit(8, 6, &mut rng);
+    for q in [0, 3, 6] {
+        c.push(Operation::channel(Channel::bit_flip(0.1).unwrap(), vec![Qubit(q)]).unwrap());
+    }
+    c.push(Operation::measure(vec![Qubit(0)], "mid").unwrap());
+    c.push(Operation::gate(Gate::Cnot, vec![Qubit(0), Qubit(1)]).unwrap());
+    c.push(Operation::measure(Qubit::range(8), "fin").unwrap());
+    c
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(32);
     let chain_circuit = random_u2_brickwork(20, 8, &mut rng);
     let sim = Simulator::new(ChainMps::zero(20, MpsOptions::with_max_bond(32))).with_seed(1);
-    let samples = sim.sample_final_bitstrings(&chain_circuit, 200).unwrap();
-    let mut hist: std::collections::BTreeMap<String, u64> = Default::default();
-    for b in &samples {
-        *hist.entry(format!("{b}")).or_insert(0) += 1;
-    }
-    println!("chain_chi32:");
-    for (b, c) in &hist {
-        println!("  {b} {c}");
-    }
+    print_samples(
+        "chain_chi32",
+        &sim.sample_final_bitstrings(&chain_circuit, 200).unwrap(),
+    );
 
     let mut rng = StdRng::seed_from_u64(9);
     let lazy_circuit = brickwork_circuit(14, 4, &mut rng);
     let sim = Simulator::new(LazyNetworkState::zero(14)).with_seed(2);
-    let samples = sim.sample_final_bitstrings(&lazy_circuit, 200).unwrap();
-    let mut hist: std::collections::BTreeMap<String, u64> = Default::default();
-    for b in &samples {
-        *hist.entry(format!("{b}")).or_insert(0) += 1;
-    }
-    println!("lazy:");
-    for (b, c) in &hist {
-        println!("  {b} {c}");
-    }
+    print_samples(
+        "lazy",
+        &sim.sample_final_bitstrings(&lazy_circuit, 200).unwrap(),
+    );
+
+    let wide = wide_map_circuit();
+    let sim = Simulator::new(StateVector::zero(8)).with_seed(3);
+    let result = sim.run(&wide, 4000).unwrap();
+    print_histogram("statevector_map", result.histogram("m").unwrap());
+
+    let noisy = noisy_forest_circuit();
+    let sim = Simulator::new(StateVector::zero(8)).with_seed(4);
+    let result = sim.run(&noisy, 3000).unwrap();
+    print_histogram("forest_mid", result.histogram("mid").unwrap());
+    print_histogram("forest_fin", result.histogram("fin").unwrap());
+
+    // The scalar per-candidate hook: must print the same block as
+    // statevector_map.
+    let sim = Simulator::with_hooks(
+        StateVector::zero(8),
+        Arc::new(default_apply_op),
+        Arc::new(|s, b| s.probability(b)),
+        false,
+    )
+    .with_seed(3);
+    let result = sim.run(&wide, 4000).unwrap();
+    print_histogram("with_hooks", result.histogram("m").unwrap());
 }

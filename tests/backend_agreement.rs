@@ -11,12 +11,14 @@ use bgls_suite::apps::{
     total_variation_distance, Graph,
 };
 use bgls_suite::circuit::{
-    generate_random_circuit, Channel, Circuit, Gate, Operation, Qubit, RandomCircuitParams,
+    generate_random_circuit, Channel, Circuit, Gate, Operation, OptimizeConfig, Qubit,
+    RandomCircuitParams,
 };
-use bgls_suite::core::{BglsState, BitString, Simulator, SimulatorOptions};
+use bgls_suite::core::{default_apply_op, BglsState, BitString, Simulator, SimulatorOptions};
 use bgls_suite::{AnyState, BackendKind, SimulatorExt};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const N: usize = 4;
 const REPS: u64 = 20_000;
@@ -236,49 +238,31 @@ fn backends_for(name: &str) -> Vec<BackendKind> {
         .collect()
 }
 
-/// Batch vs scalar candidate evaluation is bit-identical under a fixed
-/// seed: the batched hook must return exactly the scalar hook's values,
-/// so the multinomial splits consume identical RNG streams.
+/// The paper's three-hook constructor (one scalar probability call per
+/// candidate) samples bit-identically to the batched default hook under a
+/// fixed seed: the batched hook must return exactly the scalar values, so
+/// the multinomial splits consume identical RNG streams.
 #[test]
-fn batched_and_scalar_paths_sample_identically_on_every_backend() {
+fn with_hooks_and_batched_paths_sample_identically_on_every_backend() {
     for (name, circuit) in agreement_circuits() {
         for kind in backends_for(name) {
-            let sample = |batch: bool| {
-                let opts = SimulatorOptions {
-                    seed: Some(77),
-                    batch_probabilities: batch,
-                    ..Default::default()
-                };
-                Simulator::for_backend(kind, N, opts)
+            let batched = Simulator::for_backend(kind, N, SimulatorOptions::default());
+            let scalar = Simulator::with_hooks(
+                AnyState::zero(kind, N),
+                Arc::new(default_apply_op),
+                Arc::new(|s, b| s.probability(b)),
+                false,
+            );
+            let sample = |sim: Simulator<AnyState>| {
+                sim.with_seed(77)
                     .sample_final_bitstrings(&circuit, 4000)
                     .unwrap_or_else(|e| panic!("{name} on {kind}: {e}"))
             };
             assert_eq!(
-                sample(true),
-                sample(false),
-                "{name} on {kind}: batched path diverged from scalar path"
+                sample(batched),
+                sample(scalar),
+                "{name} on {kind}: batched path diverged from the with_hooks path"
             );
-        }
-    }
-}
-
-/// Parallel and sequential multiplicity-map redistribution are
-/// bit-identical: every map entry draws from its own seed-derived stream.
-#[test]
-fn parallel_redistribution_is_bit_identical_to_sequential() {
-    for (name, circuit) in agreement_circuits() {
-        for kind in backends_for(name) {
-            let sample = |parallel: bool| {
-                let opts = SimulatorOptions {
-                    seed: Some(78),
-                    parallel_redistribution: parallel,
-                    ..Default::default()
-                };
-                Simulator::for_backend(kind, N, opts)
-                    .sample_final_bitstrings(&circuit, 4000)
-                    .unwrap_or_else(|e| panic!("{name} on {kind}: {e}"))
-            };
-            assert_eq!(sample(true), sample(false), "{name} on {kind}");
         }
     }
 }
@@ -297,7 +281,10 @@ fn fused_circuits_agree_with_unfused_distributions() {
             let run = |fuse: bool, seed: u64| {
                 let opts = SimulatorOptions {
                     seed: Some(seed),
-                    fuse_gates: fuse,
+                    optimize: fuse.then(|| OptimizeConfig {
+                        merge_single_qubit_runs: true,
+                        ..OptimizeConfig::off()
+                    }),
                     ..Default::default()
                 };
                 Simulator::for_backend(kind, N, opts)

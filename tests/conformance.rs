@@ -11,21 +11,23 @@
 //! 2. **Histograms** of seeded sampling runs pass a 5-sigma chi-squared
 //!    fit against the exact Born distribution (computed once on the
 //!    density matrix through the same frontier).
-//! 3. **Digests** of the sampled sequence are bit-identical across
-//!    every parallelism knob and across `RAYON_NUM_THREADS` (the
-//!    thread-count half runs in child processes, since the vendored
-//!    Rayon pins its pool size per process).
+//! 3. **Digests** of the sampled sequence are bit-identical between the
+//!    batched and per-candidate probability hooks and across
+//!    `RAYON_NUM_THREADS` (the thread-count half runs in child
+//!    processes, since the vendored Rayon pins its pool size per
+//!    process).
 //!
 //! The battery is the enforcement side of the capability matrix: a
 //! backend silently losing a capability fails its cells instead of
 //! silently shrinking the suite.
 
 use bgls_suite::apps::chi_squared_fits;
-use bgls_suite::core::SimulatorOptions;
-use bgls_suite::{BackendKind, CostModel};
+use bgls_suite::core::{Simulator, SimulatorOptions};
+use bgls_suite::{BackendKind, CostModel, SimulatorExt};
 use bgls_testkit::{
-    backends_under_test, circuit_for, exact_distribution, expectation_on, observables_for,
-    sample_counts, sample_digest, supports, CircuitClass,
+    backends_under_test, circuit_for, digest_counts, exact_distribution, expectation_on,
+    observables_for, per_candidate_hook, sample_counts, sample_counts_on, sample_digest, supports,
+    CircuitClass,
 };
 use std::process::Command;
 
@@ -94,37 +96,37 @@ fn sampled_histograms_fit_the_exact_born_distribution() {
 }
 
 #[test]
-fn sampling_digests_are_invariant_across_parallelism_knobs() {
+fn sampling_digests_are_invariant_across_probability_hooks() {
     const REPS: u64 = 2000;
     for class in CircuitClass::all() {
         let circuit = circuit_for(class, N, SEED);
         for kind in claiming(class) {
-            let opts = |batch: bool, par_redist: bool, par_traj: bool| SimulatorOptions {
-                seed: Some(57),
-                batch_probabilities: batch,
-                parallel_redistribution: par_redist,
-                parallel_trajectories: par_traj,
-                max_forest_nodes: FRONTIER,
-                ..Default::default()
+            let batched = Simulator::for_backend(
+                kind,
+                N,
+                SimulatorOptions {
+                    seed: Some(57),
+                    max_forest_nodes: FRONTIER,
+                    ..Default::default()
+                },
+            );
+            let scalar = batched.clone().with_batch_hook(per_candidate_hook());
+            let digest = |sim: &Simulator<_>| {
+                let counts = sample_counts_on(sim, &circuit, N, REPS)
+                    .unwrap_or_else(|e| panic!("{class} on {kind}: {e}"));
+                digest_counts(&counts)
             };
-            let digest = |o: SimulatorOptions| {
-                sample_digest(kind, &circuit, N, REPS, o)
-                    .unwrap_or_else(|e| panic!("{class} on {kind}: {e}"))
-            };
-            let reference = digest(opts(true, true, true));
-            for (b, r, t) in [
-                (true, true, true), // repeat: seed-stability
-                (false, true, true),
-                (true, false, true),
-                (true, true, false),
-                (false, false, false),
-            ] {
-                assert_eq!(
-                    digest(opts(b, r, t)),
-                    reference,
-                    "{class} on {kind}: digest drifted at batch={b} par_redist={r} par_traj={t}"
-                );
-            }
+            let reference = digest(&batched);
+            assert_eq!(
+                digest(&batched),
+                reference,
+                "{class} on {kind}: digest drifted on a repeat run"
+            );
+            assert_eq!(
+                digest(&scalar),
+                reference,
+                "{class} on {kind}: per-candidate hook drifted from the batched hook"
+            );
         }
     }
 }

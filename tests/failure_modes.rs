@@ -2,7 +2,7 @@
 //! errors through the whole stack, never panics.
 
 use bgls_suite::circuit::{
-    from_qasm, Channel, Circuit, CircuitError, Gate, Operation, Param, Qubit,
+    from_qasm, Channel, Circuit, CircuitError, Gate, Operation, Param, PauliSum, Qubit,
 };
 use bgls_suite::core::{BglsState, SimError, Simulator};
 use bgls_suite::mps::{ChainMps, LazyNetworkState, MpsOptions};
@@ -120,13 +120,8 @@ fn mid_circuit_measurement_requires_projection_support() {
     c.push(Operation::measure(vec![Qubit(0)], "a").unwrap());
     c.push(Operation::gate(Gate::X, vec![Qubit(0)]).unwrap());
     c.push(Operation::measure(vec![Qubit(0)], "b").unwrap());
-    let opts = bgls_suite::core::SimulatorOptions {
-        seed: Some(1),
-        parallel_trajectories: false,
-        ..Default::default()
-    };
     let err = Simulator::new(ChForm::zero(1))
-        .with_options(opts)
+        .with_seed(1)
         .run(&c, 5)
         .unwrap_err();
     assert!(matches!(err, SimError::Unsupported(_)), "got {err}");
@@ -202,4 +197,31 @@ fn empty_weight_vectors_cannot_be_sampled() {
     use rand::{rngs::StdRng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(3);
     assert!(categorical(&[], &mut rng).is_err());
+}
+
+/// Sampled outcomes are `BitString`s of at most 64 qubits: a wider state
+/// is a typed error from every sampling entry point, not a panic, while
+/// the exact expectation path (no bitstrings) still serves it.
+#[test]
+fn sampling_wider_than_a_bitstring_is_a_typed_error() {
+    let n = 70;
+    let mut ghz = Circuit::new();
+    ghz.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
+    for q in 1..n as u32 {
+        ghz.push(Operation::gate(Gate::Cnot, vec![Qubit(q - 1), Qubit(q)]).unwrap());
+    }
+    let zz: PauliSum = "Z0 Z69".parse().unwrap();
+    let sim = Simulator::new(ChForm::zero(n)).with_seed(1);
+    assert!(matches!(
+        sim.sample_final_bitstrings(&ghz, 10),
+        Err(SimError::Unsupported(_))
+    ));
+    assert!(matches!(
+        sim.estimate_expectation(&ghz, &zz, 10),
+        Err(SimError::Unsupported(_))
+    ));
+    let exact = sim.expectation_value(&ghz, &zz).unwrap();
+    assert!((exact - 1.0).abs() < 1e-12, "<Z0 Z69> = {exact}");
+    ghz.push(Operation::measure(Qubit::range(n), "z").unwrap());
+    assert!(matches!(sim.run(&ghz, 10), Err(SimError::Unsupported(_))));
 }

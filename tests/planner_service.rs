@@ -8,8 +8,8 @@ use bgls_suite::circuit::{
 };
 use bgls_suite::core::SimError;
 use bgls_suite::plan::{
-    plan, Deliverable, ExecPath, JobOutput, PlannerConfig, ServiceConfig, SimRequest,
-    SimulationService,
+    plan, plan_and_run, Deliverable, ExecPath, JobOutput, PlannerConfig, ServiceConfig,
+    ServiceHandle, SimRequest, SimulationService,
 };
 use bgls_suite::BackendKind;
 use proptest::prelude::*;
@@ -312,4 +312,29 @@ fn service_rejects_infeasible_work_at_the_door() {
         Err(SimError::Unsupported(_))
     ));
     assert_eq!(svc.queue_len(), 0);
+}
+
+/// A 70-qubit GHZ histogram cannot be sampled (outcomes hold at most 64
+/// qubits): the planner says so before routing, so `plan_and_run` and
+/// the async front door both answer with a typed error — no panic, no
+/// worker retry.
+#[test]
+fn histograms_wider_than_a_bitstring_are_rejected_before_routing() {
+    let n = 70u32;
+    let mut ghz = Circuit::new();
+    ghz.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
+    for q in 1..n {
+        ghz.push(Operation::gate(Gate::Cnot, vec![Qubit(q - 1), Qubit(q)]).unwrap());
+    }
+    let ghz = measured(ghz, n);
+    assert!(matches!(
+        plan_and_run(&ghz, 10, Some(1)),
+        Err(SimError::Unsupported(_))
+    ));
+    let handle = ServiceHandle::with_defaults().unwrap();
+    let ticket = handle.submit(SimRequest::histogram(ghz, 10)).unwrap();
+    assert!(matches!(handle.wait(ticket), Err(SimError::Unsupported(_))));
+    let stats = handle.shutdown();
+    assert_eq!(stats.submitted, 0, "rejected at the door: {stats:?}");
+    assert_eq!(stats.retries + stats.panics_caught, 0, "{stats:?}");
 }

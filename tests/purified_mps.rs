@@ -20,11 +20,13 @@
 //!    Rayon pins its pool per process).
 
 use bgls_suite::circuit::{Channel, Gate, PauliOp, PauliString};
-use bgls_suite::core::{BglsState, BitString, SimulatorOptions};
+use bgls_suite::core::{BglsState, BitString, Simulator, SimulatorOptions};
 use bgls_suite::mps::{PurifiedMps, PurifiedOptions};
 use bgls_suite::statevector::DensityMatrix;
-use bgls_suite::BackendKind;
-use bgls_testkit::{circuit_for, sample_digest, CircuitClass};
+use bgls_suite::{BackendKind, SimulatorExt};
+use bgls_testkit::{
+    circuit_for, digest_counts, per_candidate_hook, sample_counts_on, sample_digest, CircuitClass,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -263,8 +265,9 @@ fn purified_mps_matches_density_matrix_at_ten_qubits() {
     }
 }
 
-/// Same seed, same run — twice in the same process, under different
-/// parallelism knobs. The cross-process thread-count half is below.
+/// Same seed, same run — twice in the same process, and once more with
+/// candidate probabilities evaluated one at a time instead of batched.
+/// The cross-process thread-count half is below.
 #[test]
 fn seeded_noisy_sampling_is_reproducible_in_process() {
     let n = 6;
@@ -273,17 +276,16 @@ fn seeded_noisy_sampling_is_reproducible_in_process() {
         chi: None,
         kraus_dim: None,
     };
-    let opts = |par: bool| SimulatorOptions {
+    let opts = SimulatorOptions {
         seed: Some(11),
-        parallel_redistribution: par,
         ..Default::default()
     };
-    let a = sample_digest(pmps, &circuit, n, 3000, opts(true)).unwrap();
-    let b = sample_digest(pmps, &circuit, n, 3000, opts(false)).unwrap();
-    assert_eq!(
-        a, b,
-        "parallel redistribution must not change seeded samples"
-    );
+    let a = sample_digest(pmps, &circuit, n, 3000, opts.clone()).unwrap();
+    let b = sample_digest(pmps, &circuit, n, 3000, opts.clone()).unwrap();
+    assert_eq!(a, b, "same seed must give the same samples");
+    let scalar = Simulator::for_backend(pmps, n, opts).with_batch_hook(per_candidate_hook());
+    let c = digest_counts(&sample_counts_on(&scalar, &circuit, n, 3000).unwrap());
+    assert_eq!(a, c, "the batched hook must not change seeded samples");
 }
 
 /// Child half of the thread-count protocol.

@@ -59,7 +59,6 @@ proptest! {
         let sim = Simulator::new(StateVector::zero(n)).with_options(SimulatorOptions {
             seed: Some(seed),
             parallelize_samples: false,
-            parallel_trajectories: true,
             ..Default::default()
         });
         let samples = sim.sample_final_bitstrings(&circuit, 6000).unwrap();
@@ -171,12 +170,7 @@ fn mid_circuit_measurement_on_chain_mps() {
     c.push(Operation::measure(vec![Qubit(0)], "a").unwrap());
     c.push(Operation::gate(Gate::Cnot, vec![Qubit(0), Qubit(2)]).unwrap());
     c.push(Operation::measure(vec![Qubit(2)], "b").unwrap());
-    let opts = SimulatorOptions {
-        seed: Some(4),
-        parallel_trajectories: false,
-        ..Default::default()
-    };
-    let sim = Simulator::new(ChainMps::zero(3, MpsOptions::exact())).with_options(opts);
+    let sim = Simulator::new(ChainMps::zero(3, MpsOptions::exact())).with_seed(4);
     let r = sim.run(&c, 600).unwrap();
     let a1 = r.histogram("a").unwrap().count_value(1);
     let b1 = r.histogram("b").unwrap().count_value(1);

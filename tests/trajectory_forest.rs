@@ -8,6 +8,7 @@ use bgls_suite::apps::chi_squared_fits;
 use bgls_suite::circuit::{Channel, Circuit, Gate, Operation, Qubit};
 use bgls_suite::core::{BglsState, BitString, RunResult, Simulator, SimulatorOptions};
 use bgls_suite::{BackendKind, SimulatorExt};
+use bgls_testkit::per_candidate_hook;
 
 const N: usize = 4;
 const REPS: u64 = 8_000;
@@ -182,34 +183,21 @@ fn forest_handles_mid_circuit_measurement_on_every_backend() {
 }
 
 #[test]
-fn forest_is_bit_identical_across_parallelism_and_batching() {
+fn forest_is_bit_identical_across_probability_hooks() {
     for circuit in [noisy_ghz(), mid_circuit_circuit(0.15)] {
         let n = circuit.num_qubits();
         for kind in trajectory_backends() {
-            let run = |parallel: bool, batch: bool| {
-                run_with(
-                    kind,
-                    &circuit,
-                    n,
-                    SimulatorOptions {
-                        seed: Some(94),
-                        parallel_trajectories: parallel,
-                        parallel_redistribution: parallel,
-                        batch_probabilities: batch,
-                        ..Default::default()
-                    },
-                )
-            };
-            let baseline = run(true, true);
-            for (parallel, batch) in [(false, true), (true, false), (false, false)] {
-                let other = run(parallel, batch);
-                for key in baseline.keys() {
-                    assert_eq!(
-                        baseline.histogram(key),
-                        other.histogram(key),
-                        "{kind}: parallel={parallel} batch={batch} diverged on '{key}'"
-                    );
-                }
+            let batched =
+                Simulator::for_backend(kind, n, SimulatorOptions::default()).with_seed(94);
+            let scalar = batched.clone().with_batch_hook(per_candidate_hook());
+            let baseline = batched.run(&circuit, REPS).unwrap();
+            let other = scalar.run(&circuit, REPS).unwrap();
+            for key in baseline.keys() {
+                assert_eq!(
+                    baseline.histogram(key),
+                    other.histogram(key),
+                    "{kind}: per-candidate hook diverged on '{key}'"
+                );
             }
         }
     }

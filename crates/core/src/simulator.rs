@@ -434,12 +434,12 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// Rayon threads.
     pub fn run_batch(
         &self,
-        jobs: &[(Circuit, Option<u64>)],
+        jobs: &[(&Circuit, Option<u64>)],
         repetitions: u64,
     ) -> Result<Vec<RunResult>, SimError> {
-        let run_one = |(circuit, seed): &(Circuit, Option<u64>)| {
+        let run_one = |&(circuit, seed): &(&Circuit, Option<u64>)| {
             let mut sim = self.clone();
-            sim.options.seed = *seed;
+            sim.options.seed = seed;
             sim.run(circuit, repetitions)
         };
         if self.options.parallel_sweep && jobs.len() > 1 {
@@ -1897,16 +1897,9 @@ mod tests {
         // the same (circuit, seed) entry must give bit-identical results
         // no matter what else shares the batch, and regardless of the
         // simulator's own seed
-        let solo = sim.run_batch(&[(c3.clone(), Some(7))], 200).unwrap();
+        let solo = sim.run_batch(&[(&c3, Some(7))], 200).unwrap();
         let mixed = sim
-            .run_batch(
-                &[
-                    (c2.clone(), Some(1)),
-                    (c3.clone(), Some(7)),
-                    (c3.clone(), Some(8)),
-                ],
-                200,
-            )
+            .run_batch(&[(&c2, Some(1)), (&c3, Some(7)), (&c3, Some(8))], 200)
             .unwrap();
         assert_eq!(solo[0].histogram("z"), mixed[1].histogram("z"));
         // and it matches a standalone seeded run
@@ -1921,14 +1914,7 @@ mod tests {
                 parallel_sweep: true,
                 ..Default::default()
             })
-            .run_batch(
-                &[
-                    (c2.clone(), Some(1)),
-                    (c3.clone(), Some(7)),
-                    (c3.clone(), Some(8)),
-                ],
-                200,
-            )
+            .run_batch(&[(&c2, Some(1)), (&c3, Some(7)), (&c3, Some(8))], 200)
             .unwrap();
         for (a, b) in mixed.iter().zip(&par) {
             assert_eq!(a.histogram("z"), b.histogram("z"));

@@ -20,10 +20,11 @@
 //!   because every seeded run is a pure function of
 //!   `(circuit, backend, options, seed, repetitions)`,
 //! - [`ServiceHandle`] is the fault-tolerant async front door: a worker
-//!   pool over the service with per-job `catch_unwind` isolation,
-//!   deadlines, retry-with-backoff, a [`degrade`] fallback ladder, and
-//!   cancellation — chaos-tested under the deterministic [`FaultPlan`]
-//!   injection harness.
+//!   pool over the service whose workers simulate their batches
+//!   concurrently, outside the service lock, with per-job
+//!   `catch_unwind` isolation, deadlines, retry-with-backoff, a
+//!   [`degrade`] fallback ladder, and cancellation — chaos-tested under
+//!   the deterministic [`FaultPlan`] injection harness.
 //!
 //! One-shot use goes through [`plan_and_run`]:
 //!

@@ -1,11 +1,21 @@
 //! The async front door: a worker pool over the batch service.
 //!
-//! [`ServiceHandle`] turns the single-threaded [`SimulationService`]
-//! drain loop into a concurrent server. Submissions travel over a
-//! *bounded* channel (backpressure is a typed rejection, never an
-//! unbounded buffer) to a pool of worker threads that plan, batch,
-//! execute, and publish results; callers redeem a [`Ticket`] with
-//! [`ServiceHandle::wait`] whenever they please.
+//! [`ServiceHandle`] turns the [`SimulationService`] drain loop into a
+//! concurrent server. Submissions travel over a *bounded* channel
+//! (backpressure is a typed rejection, never an unbounded buffer) to a
+//! pool of worker threads that plan, batch, execute, and publish
+//! results; callers redeem a [`Ticket`] with [`ServiceHandle::wait`]
+//! whenever they please.
+//!
+//! Workers hold the service lock only for bookkeeping: planning reads
+//! the prepared-circuit memo under it but optimizes and profiles a miss
+//! outside it, and each drain is `take_batch` (locked), `execute`
+//! (unlocked) and `settle` (locked). Batches therefore simulate
+//! concurrently, one per worker, and share the Rayon pool: a caller
+//! whose helper threads are busy runs its own blocks, so results never
+//! depend on how batches overlap. Dedup spans the batches in flight —
+//! a duplicate of a job another worker is executing waits for that
+//! job's result instead of simulating again.
 //!
 //! The liveness contract: **every accepted ticket resolves, exactly
 //! once** — to a [`JobReport`] or a typed [`SimError`] — no matter
@@ -21,13 +31,15 @@
 //! aborts.
 
 use crate::service::{
-    lock, JobId, JobReport, JobStatus, ServiceConfig, ServiceStats, SimRequest, SimulationService,
+    lock, JobId, JobReport, JobStatus, Phases, Resolved, ServiceConfig, ServiceStats, SimRequest,
+    SimulationService,
 };
+use crate::PlannerConfig;
 use bgls_core::{Clock, SimError};
 use bgls_linalg::FxHashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -68,24 +80,34 @@ impl Default for ServePolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Ticket(pub u64);
 
+/// A ticket's lifecycle. Inside the service the ticket's job has the
+/// ticket's number as its [`JobId`].
 enum SlotState {
     /// In the submission channel, not yet planned.
     Queued,
     /// Planned and queued (or executing) inside the service.
-    Submitted(JobId),
+    Submitted,
     /// Finished; result parked for the caller.
     Done(Result<JobReport, SimError>),
 }
 
 type Msg = (u64, SimRequest);
 
+/// State the workers and the handle share. Lock order is always
+/// service → slots; `phases` is a leaf (nothing else is locked while it
+/// is held). The service lock covers admission, `take_batch`
+/// and `settle` — never simulation or circuit preparation — so
+/// `status`, `cancel` and `stats` answer promptly while batches run.
 struct Shared {
     service: Mutex<SimulationService>,
+    /// The service's job lifecycle table, read by `status` without the
+    /// service lock.
+    phases: Phases,
+    /// Planner budgets, for preparing circuits outside the service lock.
+    planner: PlannerConfig,
     /// Ticket id → lifecycle state. Guarded by its own mutex (paired
-    /// with `done_cv`); lock order is always service → slots → jobmap.
+    /// with `done_cv`).
     slots: Mutex<FxHashMap<u64, SlotState>>,
-    /// Service job id → ticket id, for publishing finished results.
-    jobmap: Mutex<FxHashMap<u64, u64>>,
     done_cv: Condvar,
     abort: AtomicBool,
     clock: Arc<dyn Clock>,
@@ -113,12 +135,14 @@ impl ServiceHandle {
                 "serving policy needs a submission queue depth of at least 1".into(),
             ));
         }
+        let planner = config.planner;
         let service = SimulationService::new(config);
         let clock = service.clock();
         let shared = Arc::new(Shared {
+            phases: service.phases(),
+            planner,
             service: Mutex::new(service),
             slots: Mutex::new(FxHashMap::default()),
-            jobmap: Mutex::new(FxHashMap::default()),
             done_cv: Condvar::new(),
             abort: AtomicBool::new(false),
             clock,
@@ -242,19 +266,16 @@ impl ServiceHandle {
 
     /// Where the ticket currently is in its lifecycle.
     pub fn status(&self, ticket: Ticket) -> JobStatus {
-        let job = {
-            let slots = lock(&self.shared.slots);
-            match slots.get(&ticket.0) {
-                None => return JobStatus::Unknown,
-                Some(SlotState::Done(_)) => return JobStatus::Done,
-                Some(SlotState::Queued) => return JobStatus::Pending,
-                Some(SlotState::Submitted(id)) => *id,
-            }
-        };
-        match lock(&self.shared.service).status(job) {
-            // finished inside the service but not yet published
-            JobStatus::Unknown | JobStatus::Done => JobStatus::Done,
-            live => live,
+        match lock(&self.shared.slots).get(&ticket.0) {
+            None => return JobStatus::Unknown,
+            Some(SlotState::Done(_)) => return JobStatus::Done,
+            Some(SlotState::Queued) => return JobStatus::Pending,
+            Some(SlotState::Submitted) => {}
+        }
+        match lock(&self.shared.phases).get(&ticket.0) {
+            Some(status) => *status,
+            // taken from the service but not yet published
+            None => JobStatus::Done,
         }
     }
 
@@ -263,7 +284,7 @@ impl ServiceHandle {
     /// one already executing or finished is left alone. Returns whether
     /// the cancellation landed.
     pub fn cancel(&self, ticket: Ticket) -> bool {
-        let job = {
+        {
             let mut slots = lock(&self.shared.slots);
             match slots.get(&ticket.0) {
                 None | Some(SlotState::Done(_)) => return false,
@@ -274,10 +295,10 @@ impl ServiceHandle {
                     self.shared.done_cv.notify_all();
                     return true;
                 }
-                Some(SlotState::Submitted(id)) => *id,
+                Some(SlotState::Submitted) => {}
             }
-        };
-        lock(&self.shared.service).cancel(job)
+        }
+        lock(&self.shared.service).cancel(JobId(ticket.0))
     }
 
     /// Snapshot of the underlying service counters.
@@ -316,7 +337,11 @@ impl ServiceHandle {
         // mode; the whole backlog in abort mode).
         let finished = {
             let mut svc = lock(&self.shared.service);
-            let ids: Vec<u64> = lock(&self.shared.jobmap).keys().copied().collect();
+            let ids: Vec<u64> = lock(&self.shared.slots)
+                .iter()
+                .filter(|(_, state)| matches!(state, SlotState::Submitted))
+                .map(|(ticket, _)| *ticket)
+                .collect();
             for id in ids {
                 svc.cancel(JobId(id));
             }
@@ -344,8 +369,9 @@ impl Drop for ServiceHandle {
     }
 }
 
-/// Pulls a submission into the service and records the ticket → job
-/// binding (or the planning error).
+/// Pulls a submission into the service as the job numbered by its
+/// ticket, and marks the ticket submitted (or resolves it with the
+/// planning error).
 fn admit(shared: &Shared, (ticket, request): Msg) {
     {
         let slots = lock(&shared.slots);
@@ -354,27 +380,36 @@ fn admit(shared: &Shared, (ticket, request): Msg) {
             return;
         }
     }
-    // The service lock is held until the job → ticket binding is
-    // written: another worker's run_pending/take_finished can only see
-    // the job after `publish` is able to find its ticket, so a fast
+    // Resolve and prepare outside the service lock; only the memo
+    // lookup and the enqueue need it.
+    let resolved = Resolved::new(request);
+    let memo = lock(&shared.service).memo(&resolved);
+    let prep = match memo {
+        Some(p) => p,
+        None => resolved.prepare(&shared.planner),
+    };
+    // The service lock is held from the enqueue until the slot reads
+    // `Submitted`: another worker's take_batch/take_finished can only
+    // see the job once `publish` will accept its result, so a fast
     // result (a cache hit) is never dropped unpublished.
     let mut svc = lock(&shared.service);
-    let submitted = svc.submit(request);
+    let submitted = svc.enqueue(JobId(ticket), resolved, prep);
     let mut slots = lock(&shared.slots);
+    let live = matches!(slots.get(&ticket), Some(SlotState::Queued));
     match submitted {
-        Ok(job) => {
-            if matches!(slots.get(&ticket), Some(SlotState::Queued)) {
-                slots.insert(ticket, SlotState::Submitted(job));
-                lock(&shared.jobmap).insert(job.0, ticket);
-            } else {
-                // cancelled in the window between the two looks
-                svc.cancel(job);
-            }
+        Ok(()) if live => {
+            slots.insert(ticket, SlotState::Submitted);
+        }
+        // cancelled while it was being prepared
+        Ok(()) => {
+            svc.cancel(JobId(ticket));
         }
         Err(err) => {
             // rejected at the door (infeasible plan, full service
             // queue): the ticket resolves with the typed error
-            slots.insert(ticket, SlotState::Done(Err(err)));
+            if live {
+                slots.insert(ticket, SlotState::Done(Err(err)));
+            }
             drop(slots);
             drop(svc);
             shared.done_cv.notify_all();
@@ -389,10 +424,11 @@ fn publish(shared: &Shared, finished: Vec<(JobId, Result<JobReport, SimError>)>)
     }
     {
         let mut slots = lock(&shared.slots);
-        let mut jobmap = lock(&shared.jobmap);
         for (job, result) in finished {
-            if let Some(ticket) = jobmap.remove(&job.0) {
-                slots.insert(ticket, SlotState::Done(result));
+            // a ticket cancelled before its job was enqueued is already
+            // resolved (and maybe redeemed): drop the job's result
+            if let Some(state @ SlotState::Submitted) = slots.get_mut(&job.0) {
+                *state = SlotState::Done(result);
             }
         }
     }
@@ -405,29 +441,47 @@ fn worker_loop(shared: &Shared, receiver: &Arc<Mutex<Receiver<Msg>>>) {
             return;
         }
         // Soak every submission already in the channel, without
-        // blocking, so batches form from whole bursts.
+        // blocking, so batches form from whole bursts. A held receiver
+        // means another worker is admitting (or idling on it): go
+        // straight to the queue rather than wait behind it.
         let mut disconnected = false;
         loop {
-            let msg = lock(receiver).try_recv();
+            let msg = match receiver.try_lock() {
+                Ok(rx) => rx.try_recv(),
+                Err(TryLockError::Poisoned(rx)) => rx.into_inner().try_recv(),
+                Err(TryLockError::WouldBlock) => break,
+            };
             match msg {
                 Ok(m) => admit(shared, m),
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
                     disconnected = true;
                     break;
                 }
             }
         }
-        // Drain one admission-controlled batch and publish its results.
-        let (settled, backlog, delay) = {
+        // Take one admission-controlled batch, simulate it outside the
+        // service lock, then settle it; publish what each locked step
+        // finished (cache hits and deadline misses settle at take).
+        let (batch, finished) = {
             let mut svc = lock(&shared.service);
-            let settled = svc.run_pending();
+            let batch = svc.take_batch();
+            (batch, svc.take_finished())
+        };
+        let progressed = batch.is_some() || !finished.is_empty();
+        publish(shared, finished);
+        let executed = batch.map(|b| b.execute());
+        let (backlog, delay) = {
+            let mut svc = lock(&shared.service);
+            if let Some(executed) = executed {
+                svc.settle(executed);
+            }
             let finished = svc.take_finished();
             let backlog = svc.queue_len();
             let delay = svc.next_eligible_delay_ms();
             drop(svc);
             publish(shared, finished);
-            (settled, backlog, delay)
+            (backlog, delay)
         };
         if backlog == 0 {
             if disconnected {
@@ -442,7 +496,7 @@ fn worker_loop(shared: &Shared, receiver: &Arc<Mutex<Receiver<Msg>>>) {
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
             }
-        } else if settled == 0 {
+        } else if !progressed {
             // every queued job is waiting out a retry backoff window:
             // nap until the earliest becomes eligible (capped, so fresh
             // arrivals are picked up promptly)
@@ -461,7 +515,9 @@ mod tests {
     use super::*;
     use crate::planner::Deliverable;
     use crate::service::JobOutput;
+    use crate::FaultPlan;
     use bgls_circuit::{Circuit, Gate, Operation, Qubit};
+    use std::time::Instant;
 
     fn bell() -> Circuit {
         let mut c = Circuit::new();
@@ -652,6 +708,134 @@ mod tests {
         handle.wait(t).unwrap();
         assert!(matches!(handle.wait(t), Err(SimError::Invalid(_))));
         assert_eq!(handle.status(t), JobStatus::Unknown);
+        handle.shutdown();
+    }
+
+    /// Wall time every executed batch sleeps before simulating, so a
+    /// batch occupies its worker for a known time.
+    const LATENCY_MS: u64 = 300;
+
+    fn slow_handle() -> ServiceHandle {
+        let config = ServiceConfig {
+            fault: Some(FaultPlan {
+                latency_ms: LATENCY_MS,
+                ..FaultPlan::default()
+            }),
+            ..ServiceConfig::default()
+        };
+        ServiceHandle::start(config, ServePolicy::default()).unwrap()
+    }
+
+    /// Polls until a worker has taken the ticket's job into a batch.
+    fn wait_until_taken(handle: &ServiceHandle, ticket: Ticket) {
+        while handle.status(ticket) == JobStatus::Pending {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(handle.status(ticket), JobStatus::Running);
+    }
+
+    #[test]
+    fn a_second_worker_executes_while_the_first_is_busy() {
+        let handle = slow_handle();
+        let started = Instant::now();
+        let a = handle
+            .submit(SimRequest::histogram(bell(), 40).with_seed(1))
+            .unwrap();
+        wait_until_taken(&handle, a);
+        // another shot count, so another merge group
+        let b = handle
+            .submit(SimRequest::histogram(bell(), 80).with_seed(2))
+            .unwrap();
+        handle.wait(b).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(LATENCY_MS * 3 / 2),
+            "B resolved {elapsed:?} after A was submitted: it waited out A's batch"
+        );
+        handle.wait(a).unwrap();
+        handle.shutdown();
+    }
+
+    #[test]
+    fn status_and_cancel_answer_while_a_batch_executes() {
+        let handle = slow_handle();
+        let a = handle
+            .submit(SimRequest::histogram(bell(), 40).with_seed(1))
+            .unwrap();
+        wait_until_taken(&handle, a);
+        let t = Instant::now();
+        assert_eq!(handle.status(a), JobStatus::Running);
+        let status_took = t.elapsed();
+        let t = Instant::now();
+        assert!(!handle.cancel(a), "an executing job is not cancellable");
+        let cancel_took = t.elapsed();
+        let bound = Duration::from_millis(50);
+        assert!(status_took < bound, "status took {status_took:?}");
+        assert!(cancel_took < bound, "cancel took {cancel_took:?}");
+        assert!(handle.wait(a).is_ok());
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_duplicate_of_an_executing_job_parks_on_it() {
+        let handle = slow_handle();
+        let request = || SimRequest::histogram(bell(), 64).with_seed(11);
+        let first = handle.submit(request()).unwrap();
+        wait_until_taken(&handle, first);
+        let second = handle.submit(request()).unwrap();
+        wait_until_taken(&handle, second);
+        // taken while the first still executes: a cache miss, parked
+        assert_eq!(handle.status(first), JobStatus::Running);
+        let a = handle.wait(first).unwrap();
+        let b = handle.wait(second).unwrap();
+        assert_eq!(
+            a.histogram().unwrap().histogram("m"),
+            b.histogram().unwrap().histogram("m")
+        );
+        let stats = handle.shutdown();
+        assert_eq!(stats.simulated_jobs, 1);
+        assert_eq!(
+            stats.merged_jobs, 1,
+            "the duplicate shared the leader's run"
+        );
+        assert_eq!(stats.completed, 2);
+    }
+
+    #[test]
+    fn faults_follow_the_ticket_whichever_worker_admits_it() {
+        // Fault rolls are keyed by job id, and the handle numbers jobs
+        // by ticket: per-ticket outcomes equal the synchronous service's
+        // for the same requests in the same order, however the workers
+        // interleave admission.
+        let config = || ServiceConfig {
+            fault: Some(FaultPlan {
+                backend_failure_probability: 0.5,
+                stop_after_attempts: 2,
+                ..FaultPlan::seeded(7)
+            }),
+            ..ServiceConfig::default()
+        };
+        let requests =
+            || (0..24u64).map(|s| SimRequest::histogram(bell(), 20 + s % 3).with_seed(s));
+        let mut svc = SimulationService::new(config());
+        let ids: Vec<JobId> = requests().map(|r| svc.submit(r).unwrap()).collect();
+        svc.run_all();
+        let policy = ServePolicy {
+            workers: 4,
+            ..ServePolicy::default()
+        };
+        let handle = ServiceHandle::start(config(), policy).unwrap();
+        let tickets: Vec<Ticket> = requests().map(|r| handle.submit(r).unwrap()).collect();
+        for (id, ticket) in ids.into_iter().zip(tickets) {
+            let want = svc.take_result(id).unwrap().unwrap();
+            let got = handle.wait(ticket).unwrap();
+            assert_eq!(got.attempts, want.attempts, "ticket {}", ticket.0);
+            assert_eq!(
+                got.histogram().unwrap().histogram("m"),
+                want.histogram().unwrap().histogram("m")
+            );
+        }
+        assert!(svc.stats().retries > 0, "the plan must fault some jobs");
         handle.shutdown();
     }
 }

@@ -11,8 +11,10 @@
 //!    simulation is a pure function of
 //!    `(circuit, backend, options, seed, repetitions)`, so a hit is
 //!    *bit-identical* to re-running — not an approximation.
-//! 2. Cache misses are deduplicated (a hot burst of identical requests
-//!    simulates once) and merged into compatibility groups — same plan
+//! 2. Cache misses are deduplicated — a hot burst of identical requests
+//!    simulates once, even across batches executing at the same time
+//!    (a duplicate parks on the in-flight leader) — and merged into
+//!    compatibility groups — same plan
 //!    fingerprint, width, and shot count for histograms; same base
 //!    circuit and observable for expectation sweeps. Each group becomes
 //!    ONE engine fan-out: [`Simulator::run_batch`] for histograms
@@ -39,7 +41,9 @@
 
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, InjectedFault};
-use crate::planner::{degrade, plan_prepared, prepare, Deliverable, ExecPath, ExecutionPlan};
+use crate::planner::{
+    degrade, plan_prepared, prepare, Deliverable, ExecPath, ExecutionPlan, PreparedCircuit,
+};
 use crate::PlannerConfig;
 use bgls_backend::{BackendKind, SimulatorExt};
 use bgls_circuit::{lightcone_prune_for, Circuit, ParamResolver, PauliSum, Qubit, RewriteStats};
@@ -134,7 +138,8 @@ pub enum JobStatus {
     /// Submitted and waiting in the queue (possibly in a retry backoff
     /// window).
     Pending,
-    /// Drained into the batch currently executing.
+    /// Drained into a batch that is executing (or parked on an
+    /// identical job in one).
     Running,
     /// Finished — [`SimulationService::take_result`] will return it.
     Done,
@@ -300,7 +305,7 @@ pub struct ServiceStats {
     /// (the batching win).
     pub merged_jobs: u64,
     /// Distinct simulations actually executed (after cache hits and
-    /// in-batch deduplication).
+    /// deduplication).
     pub simulated_jobs: u64,
     /// Failed attempts re-admitted for another try on the same plan.
     pub retries: u64,
@@ -325,7 +330,7 @@ struct PendingJob {
     resolved: Circuit,
     plan: ExecutionPlan,
     seed: Option<u64>,
-    /// Identity at submission — what in-batch dedup and cache lookups
+    /// Identity at submission — what dedup and cache lookups
     /// key on. Stable across retries and degradations.
     dedup_key: Option<CacheKey>,
     /// Key under the plan *currently serving* the job — what a
@@ -403,12 +408,98 @@ fn key_for(
     }
 }
 
-/// The planner-driven batch simulation host. Single-threaded by design:
-/// `submit` enqueues, [`SimulationService::run_pending`] drains — the
-/// parallelism lives inside the merged engine fan-outs (Rayon), which
-/// keeps the whole service deterministic for seeded traffic. The async
-/// front door ([`crate::ServiceHandle`]) wraps this same loop in a
-/// worker pool.
+/// Job lifecycle table shared between the service and its async front
+/// door: every job the service knows of maps to its [`JobStatus`], so
+/// status queries never need the service itself.
+pub(crate) type Phases = Arc<Mutex<FxHashMap<u64, JobStatus>>>;
+
+/// A request with its parameter bindings applied — what
+/// [`SimulationService::enqueue`] admits. Building one needs no service,
+/// so the async front door resolves (and prepares) outside the service
+/// lock.
+pub(crate) struct Resolved {
+    request: SimRequest,
+    resolver: ParamResolver,
+    circuit: Circuit,
+    /// Structural hash of `circuit` — the prepared-circuit memo key.
+    hash: u64,
+}
+
+impl Resolved {
+    pub(crate) fn new(mut request: SimRequest) -> Self {
+        let resolver = request.resolver.take().unwrap_or_default();
+        let circuit = request.circuit.resolve(&resolver);
+        let hash = circuit.structural_hash();
+        Resolved {
+            request,
+            resolver,
+            circuit,
+            hash,
+        }
+    }
+
+    /// Profiles and optimizes the resolved circuit.
+    pub(crate) fn prepare(&self, planner: &PlannerConfig) -> Arc<PreparedCircuit> {
+        Arc::new(prepare(&self.circuit, planner))
+    }
+}
+
+/// A batch drained by [`SimulationService::take_batch`]: owned jobs
+/// grouped into engine fan-outs, plus what executing them needs from
+/// the configuration. [`Batch::execute`] runs it without the service.
+pub(crate) struct Batch {
+    /// Jobs drained into the batch, cache hits and parked duplicates
+    /// included — the batch controller's input.
+    taken: usize,
+    work: Vec<Work>,
+    fault: Option<FaultPlan>,
+    clock: Arc<dyn Clock>,
+    degraded_shots: u64,
+}
+
+/// One engine call inside a [`Batch`].
+enum Work {
+    /// A job executed in its own failure domain: one the fault sieve
+    /// selected, or a degraded shot estimate (those never merge).
+    Alone(Box<PendingJob>, InjectedFault),
+    /// One merged `run_batch` fan-out; `units` are each job's static
+    /// cost units.
+    Histogram {
+        n: usize,
+        repetitions: u64,
+        jobs: Vec<PendingJob>,
+        units: Vec<f64>,
+    },
+    /// One merged `expectation_sweep` over a shared base circuit.
+    Expectation {
+        jobs: Vec<PendingJob>,
+        units: Vec<f64>,
+    },
+}
+
+/// What [`Batch::execute`] hands back to [`SimulationService::settle`]:
+/// plain per-job outcomes and the measurements to book.
+pub(crate) struct Executed {
+    taken: usize,
+    elapsed_ms: f64,
+    outcomes: Vec<(PendingJob, Result<JobOutput, SimError>)>,
+    /// `(backend, path, static units, wall ms)` of each merged fan-out
+    /// that succeeded — the cost model's observations.
+    observed: Vec<(BackendKind, ExecPath, f64, f64)>,
+    /// Counter increments: `simulated_jobs`, `merged_jobs`,
+    /// `panics_caught` and `faults_injected`.
+    tally: ServiceStats,
+}
+
+/// The planner-driven batch simulation host. Each drain is three steps:
+/// `take_batch` (queue, cache and dedup decisions, grouping), `execute`
+/// (the simulation, which needs no `&mut self`) and `settle` (cache
+/// inserts, retry and degrade, counters).
+/// [`SimulationService::run_pending`] runs the three back to back. The async front door ([`crate::ServiceHandle`])
+/// holds its service lock only around take and settle, so its workers
+/// execute batches concurrently. Seeded results stay deterministic:
+/// every job's output is a pure function of its plan and seed, whatever
+/// batch (or concurrent batch) it rode in.
 pub struct SimulationService {
     config: ServiceConfig,
     queue: VecDeque<PendingJob>,
@@ -418,17 +509,21 @@ pub struct SimulationService {
     next_id: u64,
     stats: ServiceStats,
     clock: Arc<dyn Clock>,
-    /// Ids of jobs inside the batch currently executing — shared so the
-    /// front door can answer [`SimulationService::status`] queries
-    /// without the service lock.
-    running: Arc<Mutex<FxHashMap<u64, ()>>>,
+    /// Lifecycle of every job from submission until its result is
+    /// taken — shared so the front door answers status queries without
+    /// the service lock.
+    phases: Phases,
+    /// Dedup keys of leaders in batches taken but not yet settled, each
+    /// with the duplicates parked on it. A duplicate follows its
+    /// leader's fate, so no key simulates twice at once.
+    in_flight: FxHashMap<CacheKey, Vec<PendingJob>>,
     /// Timing-calibrated cost model, fed by batch wall-clock
     /// observations; consulted at plan time once its buckets are warm.
     cost: CostModel,
-    /// Memoized [`crate::PreparedCircuit`]s behind the resolved
-    /// circuit's structural hash — cache-hit traffic never re-profiles
-    /// or re-optimizes. Bounded: cleared wholesale at capacity.
-    preps: FxHashMap<u64, Arc<crate::PreparedCircuit>>,
+    /// Memoized [`PreparedCircuit`]s behind the resolved circuit's
+    /// structural hash — cache-hit traffic never re-profiles or
+    /// re-optimizes. Bounded: cleared wholesale at capacity.
+    preps: FxHashMap<u64, Arc<PreparedCircuit>>,
 }
 
 /// Entry bound for the prepared-circuit memo; beyond this the map is
@@ -457,7 +552,8 @@ impl SimulationService {
             next_id: 0,
             stats: ServiceStats::default(),
             clock,
-            running: Arc::new(Mutex::new(FxHashMap::default())),
+            phases: Arc::new(Mutex::new(FxHashMap::default())),
+            in_flight: FxHashMap::default(),
             cost: CostModel::new(),
             preps: FxHashMap::default(),
         }
@@ -474,33 +570,56 @@ impl SimulationService {
     /// (admission control — the queue bound is the service's memory
     /// ceiling).
     pub fn submit(&mut self, request: SimRequest) -> Result<JobId, SimError> {
+        let resolved = Resolved::new(request);
+        let prep = match self.memo(&resolved) {
+            Some(p) => p,
+            None => resolved.prepare(&self.config.planner),
+        };
+        let id = JobId(self.next_id);
+        self.enqueue(id, resolved, prep)?;
+        self.next_id += 1;
+        Ok(id)
+    }
+
+    /// The memoized preparation of `resolved`, if any. The memo key is a
+    /// 64-bit structural hash; the hit is verified against the actual
+    /// circuit so a collision re-prepares instead of silently executing
+    /// another circuit's plan.
+    pub(crate) fn memo(&self, resolved: &Resolved) -> Option<Arc<PreparedCircuit>> {
+        self.preps
+            .get(&resolved.hash)
+            .filter(|p| p.raw() == &resolved.circuit)
+            .cloned()
+    }
+
+    /// Plans a resolved request over its preparation, memoizes the
+    /// preparation, and enqueues the job as `id` — the back half of
+    /// [`SimulationService::submit`]. The caller keeps ids unique:
+    /// `submit` counts them, and the async front door uses its ticket
+    /// numbers, so a job's id (which keys the [`FaultPlan`] rolls) does
+    /// not depend on which worker admits first.
+    pub(crate) fn enqueue(
+        &mut self,
+        JobId(id): JobId,
+        resolved: Resolved,
+        prep: Arc<PreparedCircuit>,
+    ) -> Result<(), SimError> {
         if self.queue.len() >= self.config.max_queue {
             return Err(SimError::Invalid(format!(
                 "service queue is full ({} jobs); drain with run_pending before submitting more",
                 self.queue.len()
             )));
         }
-        let resolver = request.resolver.unwrap_or_default();
-        let resolved = request.circuit.resolve(&resolver);
-        // The memo key is a 64-bit structural hash; verify the hit
-        // against the actual circuit so a collision re-prepares instead
-        // of silently executing another circuit's plan.
-        let memo_hit = self
-            .preps
-            .get(&resolved.structural_hash())
-            .filter(|p| p.raw() == &resolved);
-        let prep = match memo_hit {
-            Some(p) => Arc::clone(p),
-            None => {
-                if self.preps.len() >= PREP_MEMO_CAPACITY {
-                    self.preps.clear();
-                }
-                let p = Arc::new(prepare(&resolved, &self.config.planner));
-                self.preps
-                    .insert(resolved.structural_hash(), Arc::clone(&p));
-                p
-            }
-        };
+        let Resolved {
+            request,
+            resolver,
+            circuit: resolved,
+            hash,
+        } = resolved;
+        if self.preps.len() >= PREP_MEMO_CAPACITY && !self.preps.contains_key(&hash) {
+            self.preps.clear();
+        }
+        self.preps.insert(hash, Arc::clone(&prep));
         let plan = plan_prepared(
             &prep,
             &request.deliverable,
@@ -520,8 +639,7 @@ impl SimulationService {
             .deadline_ms
             .or(self.config.default_deadline_ms)
             .map(|budget| (self.clock.now_ms().saturating_add(budget), budget));
-        let id = self.next_id;
-        self.next_id += 1;
+        lock(&self.phases).insert(id, JobStatus::Pending);
         self.queue.push_back(PendingJob {
             id,
             base: request.circuit,
@@ -541,7 +659,7 @@ impl SimulationService {
             measured_ms: None,
         });
         self.stats.submitted += 1;
-        Ok(JobId(id))
+        Ok(())
     }
 
     /// Drains and executes one admission-controlled batch from the
@@ -551,42 +669,10 @@ impl SimulationService {
     /// with [`SimError::DeadlineExceeded`] without executing. Call in a
     /// loop — or use [`SimulationService::run_all`] — to drain fully.
     pub fn run_pending(&mut self) -> usize {
-        if self.queue.is_empty() {
-            return 0;
-        }
         let settled_before = self.stats.completed + self.stats.failed;
-        let now = self.clock.now_ms();
-        let want = self.controller.batch_size();
-        let mut batch: Vec<PendingJob> = Vec::new();
-        let rounds = self.queue.len();
-        for _ in 0..rounds {
-            if batch.len() >= want {
-                break;
-            }
-            let Some(job) = self.queue.pop_front() else {
-                break;
-            };
-            if let Some((deadline_abs, budget_ms)) = job.deadline {
-                if now > deadline_abs {
-                    self.stats.deadline_misses += 1;
-                    self.finish(job.id, Err(SimError::DeadlineExceeded { budget_ms }));
-                    continue;
-                }
-            }
-            if job.not_before_ms > now {
-                // still backing off: rotate to the back, keep draining
-                self.queue.push_back(job);
-                continue;
-            }
-            batch.push(job);
-        }
-        if !batch.is_empty() {
-            let taken = batch.len();
-            let started = Instant::now();
-            self.execute_batch(batch);
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            self.controller.observe(taken, elapsed_ms);
-            self.stats.batches += 1;
+        if let Some(batch) = self.take_batch() {
+            let executed = batch.execute();
+            self.settle(executed);
         }
         (self.stats.completed + self.stats.failed - settled_before) as usize
     }
@@ -623,7 +709,9 @@ impl SimulationService {
     /// job is still queued or running (disambiguate with
     /// [`SimulationService::status`]).
     pub fn take_result(&mut self, id: JobId) -> Option<Result<JobReport, SimError>> {
-        self.done.remove(&id.0)
+        let result = self.done.remove(&id.0)?;
+        lock(&self.phases).remove(&id.0);
+        Some(result)
     }
 
     /// Removes and returns every finished job, ordered by id — the bulk
@@ -635,6 +723,10 @@ impl SimulationService {
             .map(|(id, result)| (JobId(id), result))
             .collect();
         out.sort_by_key(|(id, _)| id.0);
+        let mut phases = lock(&self.phases);
+        for (id, _) in &out {
+            phases.remove(&id.0);
+        }
         out
     }
 
@@ -642,16 +734,15 @@ impl SimulationService {
     /// result reverts to [`JobStatus::Unknown`] — the service keeps no
     /// tombstones.
     pub fn status(&self, id: JobId) -> JobStatus {
-        if self.done.contains_key(&id.0) {
-            return JobStatus::Done;
-        }
-        if lock(&self.running).contains_key(&id.0) {
-            return JobStatus::Running;
-        }
-        if self.queue.iter().any(|j| j.id == id.0) {
-            return JobStatus::Pending;
-        }
-        JobStatus::Unknown
+        lock(&self.phases)
+            .get(&id.0)
+            .copied()
+            .unwrap_or(JobStatus::Unknown)
+    }
+
+    /// The shared lifecycle table behind [`SimulationService::status`].
+    pub(crate) fn phases(&self) -> Phases {
+        Arc::clone(&self.phases)
     }
 
     /// Cancels a queued job: it settles immediately with
@@ -700,7 +791,7 @@ impl SimulationService {
             Ok(_) => self.stats.completed += 1,
             Err(_) => self.stats.failed += 1,
         }
-        lock(&self.running).remove(&id);
+        lock(&self.phases).insert(id, JobStatus::Done);
         self.done.insert(id, result);
     }
 
@@ -717,24 +808,57 @@ impl SimulationService {
         }
     }
 
-    fn execute_batch(&mut self, batch: Vec<PendingJob>) {
+    /// Drains one admission-controlled batch and makes every decision
+    /// that needs the service: deadlines and backoff windows, cache
+    /// hits (settled here), dedup against the leaders of every batch in
+    /// flight, the fault sieve, and grouping into engine fan-outs with
+    /// their cost predictions. `None` when no queued job is eligible.
+    pub(crate) fn take_batch(&mut self) -> Option<Batch> {
+        let now = self.clock.now_ms();
+        let want = self.controller.batch_size();
+        let mut batch: Vec<PendingJob> = Vec::new();
+        let rounds = self.queue.len();
+        for _ in 0..rounds {
+            if batch.len() >= want {
+                break;
+            }
+            let Some(job) = self.queue.pop_front() else {
+                break;
+            };
+            if let Some((deadline_abs, budget_ms)) = job.deadline {
+                if now > deadline_abs {
+                    self.stats.deadline_misses += 1;
+                    self.finish(job.id, Err(SimError::DeadlineExceeded { budget_ms }));
+                    continue;
+                }
+            }
+            if job.not_before_ms > now {
+                // still backing off: rotate to the back, keep draining
+                self.queue.push_back(job);
+                continue;
+            }
+            batch.push(job);
+        }
+        if batch.is_empty() {
+            return None;
+        }
+        let taken = batch.len();
         {
-            let mut running = lock(&self.running);
+            let mut phases = lock(&self.phases);
             for job in &batch {
-                running.insert(job.id, ());
+                phases.insert(job.id, JobStatus::Running);
             }
         }
-        // Phase 1: cache lookups, and in-batch dedup of identical keys —
-        // a dedup key maps to the first job carrying it (the leader);
-        // parked duplicates follow the leader's fate (copy of its
-        // output, its error, or re-admission alongside it).
-        // Memoization (cache lookups AND in-batch dedup) is one switch:
-        // capacity 0 means every request simulates, the uncached
-        // baseline the throughput bench contrasts against.
+        // Cache lookups, then dedup: a dedup key maps to the first job
+        // carrying it (the leader) until the leader's batch settles;
+        // duplicates — from this batch or a later one — park on it and
+        // follow its fate (copy of its output, its error, or
+        // re-admission alongside it). Memoization (cache lookups AND
+        // dedup) is one switch: capacity 0 means every request
+        // simulates, the uncached baseline the throughput bench
+        // contrasts against.
         let memoize = self.config.cache_capacity > 0;
         let mut misses: Vec<PendingJob> = Vec::new();
-        let mut parked: FxHashMap<CacheKey, Vec<PendingJob>> = FxHashMap::default();
-        let mut leaders: FxHashMap<CacheKey, ()> = FxHashMap::default();
         for job in batch {
             if memoize {
                 if let Some(key) = job.dedup_key {
@@ -743,79 +867,36 @@ impl SimulationService {
                         self.finish(job.id, Ok(report));
                         continue;
                     }
-                    if leaders.contains_key(&key) {
-                        parked.entry(key).or_default().push(job);
+                    if let Some(dups) = self.in_flight.get_mut(&key) {
+                        dups.push(job);
                         continue;
                     }
-                    leaders.insert(key, ());
+                    self.in_flight.insert(key, Vec::new());
                 }
             }
             misses.push(job);
         }
 
-        // Phase 2: the fault sieve. Jobs the FaultPlan selects are
-        // pulled out of the merge groups and executed (or poisoned)
-        // individually so an injected fault never contaminates a merged
-        // fan-out.
-        let fault = self.config.fault.clone();
+        // The fault sieve: jobs the FaultPlan selects are pulled out of
+        // the merge groups and executed (or poisoned) individually so an
+        // injected fault never contaminates a merged fan-out.
+        let mut work: Vec<Work> = Vec::new();
         let mut clean: Vec<PendingJob> = Vec::new();
-        let mut faulted: Vec<(PendingJob, InjectedFault)> = Vec::new();
-        match &fault {
+        match &self.config.fault {
             Some(fp) if !fp.is_inert() => {
                 for job in misses {
                     match fp.decide(job.id, job.attempt, job.plan.backend) {
                         InjectedFault::None => clean.push(job),
-                        injected => faulted.push((job, injected)),
+                        injected => work.push(Work::Alone(Box::new(job), injected)),
                     }
                 }
             }
             _ => clean = misses,
         }
-        if let Some(fp) = &fault {
-            if fp.latency_ms > 0 && !(clean.is_empty() && faulted.is_empty()) {
-                // artificial service latency, once per executed batch
-                self.clock.sleep_ms(fp.latency_ms);
-            }
-        }
-        for (job, injected) in faulted {
-            self.stats.faults_injected += 1;
-            let outcome = match injected {
-                InjectedFault::None => unreachable!("the fault sieve only collects faulted jobs"),
-                InjectedFault::Panic => {
-                    let seed = fault.as_ref().map(|fp| fp.seed).unwrap_or_default();
-                    let msg = format!(
-                        "injected panic (fault seed {seed}, job {}, attempt {})",
-                        job.id, job.attempt
-                    );
-                    let caught =
-                        catch_unwind(AssertUnwindSafe(|| -> Result<JobOutput, SimError> {
-                            panic!("{msg}");
-                        }));
-                    match caught {
-                        Ok(result) => result,
-                        Err(payload) => {
-                            self.stats.panics_caught += 1;
-                            Err(SimError::WorkerPanic(panic_message(payload)))
-                        }
-                    }
-                }
-                InjectedFault::BudgetExhaustion => Err(SimError::BudgetExhausted(format!(
-                    "injected budget exhaustion (job {}, attempt {})",
-                    job.id, job.attempt
-                ))),
-                InjectedFault::BackendFailure => {
-                    let armed = fault
-                        .as_ref()
-                        .and_then(|fp| fp.op_fault_spec().arm(job.plan.backend));
-                    self.run_single_guarded(&job, armed)
-                }
-            };
-            self.dispose(job, outcome, &mut parked);
-        }
 
-        // Phase 3: group the clean misses into compatible engine
-        // fan-outs. The fingerprint covers backend, path, and
-        // result-affecting options, so groups are homogeneous.
+        // Group the clean misses into compatible engine fan-outs. The
+        // fingerprint covers backend, path, and result-affecting
+        // options, so groups are homogeneous.
         let mut hist_groups: FxHashMap<(u64, usize, u64), Vec<PendingJob>> = FxHashMap::default();
         let mut exp_groups: FxHashMap<(u64, u64, u64), Vec<PendingJob>> = FxHashMap::default();
         for job in clean {
@@ -837,252 +918,82 @@ impl SimulationService {
                 }
             }
         }
-        for ((_, n, repetitions), group) in hist_groups {
-            self.run_histogram_group(n, repetitions, group, &mut parked);
+        for ((_, n, repetitions), mut jobs) in hist_groups {
+            let units = self.predict(&mut jobs, repetitions as f64);
+            work.push(Work::Histogram {
+                n,
+                repetitions,
+                jobs,
+                units,
+            });
         }
-        for (_, group) in exp_groups {
-            self.run_expectation_group(group, &mut parked);
-        }
-
-        // Every leader was disposed above, which drains its parked
-        // duplicates; anything left would be a bookkeeping bug — re-admit
-        // rather than lose a job.
-        for (_, dups) in parked {
-            for dup in dups {
-                lock(&self.running).remove(&dup.id);
-                self.queue.push_back(dup);
+        for (_, mut jobs) in exp_groups {
+            if jobs[0].plan.path == ExecPath::ShotEstimate {
+                // degraded shot estimates never merge — each runs
+                // individually under its own seed
+                work.extend(
+                    jobs.into_iter()
+                        .map(|j| Work::Alone(Box::new(j), InjectedFault::None)),
+                );
+                continue;
             }
+            let units = self.predict(&mut jobs, 1.0);
+            work.push(Work::Expectation { jobs, units });
         }
+        Some(Batch {
+            taken,
+            work,
+            fault: self.config.fault.clone(),
+            clock: Arc::clone(&self.clock),
+            degraded_shots: self.config.degraded_shots,
+        })
     }
 
-    /// One merged `run_batch` fan-out: every entry executes under its
-    /// own seed, so each job's histogram is bit-identical to a
-    /// standalone [`ExecutionPlan::run`] — batch composition never
-    /// leaks into results. The fan-out runs under `catch_unwind`; on
-    /// any group-level failure (error or panic) each entry re-runs
-    /// individually so every job gets its own isolated verdict.
-    fn run_histogram_group(
-        &mut self,
-        n: usize,
-        repetitions: u64,
-        mut group: Vec<PendingJob>,
-        parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
-    ) {
-        let backend = group[0].plan.backend;
-        let path = group[0].plan.path;
-        let mut options = group[0].plan.options.clone();
-        options.parallel_sweep = true; // fan the merged batch across threads
-        let sim = Simulator::for_backend(backend, n, options);
-        // Each job executes its plan's (optimizer-rewritten) circuit;
-        // the plan fingerprint in the group key guarantees every member
-        // went through the same pipeline.
-        let jobs: Vec<(Circuit, Option<u64>)> = group
-            .iter()
-            .map(|j| (j.plan.circuit.clone(), j.seed))
-            .collect();
-        let units: Vec<f64> = group
-            .iter()
-            .map(|j| CostModel::static_units(&j.plan.profile, &backend) * repetitions as f64)
-            .collect();
-        let total_units: f64 = units.iter().sum();
-        for (job, u) in group.iter_mut().zip(&units) {
-            job.predicted_ms = self.cost.predict_ms(&backend, path, *u);
-        }
-        let merged = group.len() > 1;
-        let started = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| sim.run_batch(&jobs, repetitions)));
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        match attempt {
-            Ok(Ok(results)) => {
-                self.stats.simulated_jobs += group.len() as u64;
-                self.cost.observe(&backend, path, total_units, elapsed_ms);
-                for ((mut job, result), u) in group.into_iter().zip(results).zip(units) {
-                    if merged {
-                        self.stats.merged_jobs += 1;
-                    }
-                    if total_units > 0.0 {
-                        job.measured_ms = Some(elapsed_ms * u / total_units);
-                    }
-                    let output = JobOutput::Histogram(Arc::new(result));
-                    self.dispose(job, Ok(output), parked);
-                }
-            }
-            _ => {
-                // A merged fan-out reports only its first error — and a
-                // panic poisons the whole attempt. Isolate: re-run each
-                // entry in its own failure domain.
-                for job in group {
-                    let outcome = self.run_single_guarded(&job, None);
-                    self.dispose(job, outcome, parked);
-                }
-            }
-        }
+    /// Static cost units of each job in a homogeneous group (times
+    /// `scale`, the shot count for histograms), recording the cost
+    /// model's calibrated prediction on each job.
+    fn predict(&self, jobs: &mut [PendingJob], scale: f64) -> Vec<f64> {
+        let backend = jobs[0].plan.backend;
+        let path = jobs[0].plan.path;
+        jobs.iter_mut()
+            .map(|job| {
+                let units = CostModel::static_units(&job.plan.profile, &backend) * scale;
+                job.predicted_ms = self.cost.predict_ms(&backend, path, units);
+                units
+            })
+            .collect()
     }
 
-    /// One merged `expectation_sweep` fan-out over the group's shared
-    /// base circuit: entries differ only in their parameter bindings.
-    /// The walk is deterministic, so merging is trivially sound.
-    /// Degraded shot-estimate jobs never merge — each runs individually
-    /// under its own seed.
-    fn run_expectation_group(
-        &mut self,
-        mut group: Vec<PendingJob>,
-        parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
-    ) {
-        if group[0].plan.path == ExecPath::ShotEstimate {
-            for job in group {
-                let outcome = self.run_single_guarded(&job, None);
-                self.dispose(job, outcome, parked);
-            }
-            return;
+    /// Books an executed batch: counters, cost and controller
+    /// observations, and every job's outcome — cache insert and parked
+    /// duplicates on success, the retry → degrade → fail ladder on
+    /// failure.
+    pub(crate) fn settle(&mut self, executed: Executed) {
+        let Executed {
+            taken,
+            elapsed_ms,
+            outcomes,
+            observed,
+            tally,
+        } = executed;
+        self.stats.simulated_jobs += tally.simulated_jobs;
+        self.stats.merged_jobs += tally.merged_jobs;
+        self.stats.panics_caught += tally.panics_caught;
+        self.stats.faults_injected += tally.faults_injected;
+        for (backend, path, units, ms) in observed {
+            self.cost.observe(&backend, path, units, ms);
         }
-        let observable = match &group[0].kind {
-            JobKind::Expectation { observable, .. } => observable.clone(),
-            JobKind::Histogram { .. } => unreachable!("histogram job in expectation group"),
-        };
-        let backend = group[0].plan.backend;
-        let path = group[0].plan.path;
-        let mut options = group[0].plan.options.clone();
-        options.parallel_sweep = true;
-        // The observable lightcone commutes with parameter resolution
-        // (it drops ops by support alone), so pruning the shared base
-        // yields exactly the per-job plan circuits after resolution —
-        // the merged sweep stays bit-identical to standalone walks.
-        let mut targets: Vec<Qubit> = observable
-            .terms()
-            .iter()
-            .flat_map(|(_, p)| p.support().into_iter().map(|q| Qubit(q as u32)))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        let base = if group[0].plan.optimize.map(|c| c.lightcone).unwrap_or(false) {
-            lightcone_prune_for(&group[0].base, &targets)
-        } else {
-            group[0].base.clone()
-        };
-        // Width from the (possibly pruned) base, extended to cover the
-        // observable's support — never the raw submission width.
-        let n = base
-            .num_qubits()
-            .max(targets.iter().map(|q| q.0 as usize + 1).max().unwrap_or(0))
-            .max(1);
-        let sim = Simulator::for_backend(backend, n, options);
-        let resolvers: Vec<ParamResolver> = group.iter().map(|j| j.resolver.clone()).collect();
-        let units: Vec<f64> = group
-            .iter()
-            .map(|j| CostModel::static_units(&j.plan.profile, &backend))
-            .collect();
-        let total_units: f64 = units.iter().sum();
-        for (job, u) in group.iter_mut().zip(&units) {
-            job.predicted_ms = self.cost.predict_ms(&backend, path, *u);
+        for (job, outcome) in outcomes {
+            self.dispose(job, outcome);
         }
-        let merged = group.len() > 1;
-        let started = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            sim.expectation_sweep(&base, &resolvers, &observable)
-        }));
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        match attempt {
-            Ok(Ok(values)) => {
-                self.stats.simulated_jobs += group.len() as u64;
-                self.cost.observe(&backend, path, total_units, elapsed_ms);
-                for ((mut job, value), u) in group.into_iter().zip(values).zip(units) {
-                    if merged {
-                        self.stats.merged_jobs += 1;
-                    }
-                    if total_units > 0.0 {
-                        job.measured_ms = Some(elapsed_ms * u / total_units);
-                    }
-                    self.dispose(job, Ok(JobOutput::Expectation(value)), parked);
-                }
-            }
-            _ => {
-                for job in group {
-                    let outcome = self.run_single_guarded(&job, None);
-                    self.dispose(job, outcome, parked);
-                }
-            }
-        }
-    }
-
-    /// Runs one job standalone inside its own `catch_unwind` failure
-    /// domain; a panic becomes [`SimError::WorkerPanic`].
-    fn run_single_guarded(
-        &mut self,
-        job: &PendingJob,
-        armed: Option<OpFaultFn>,
-    ) -> Result<JobOutput, SimError> {
-        self.stats.simulated_jobs += 1;
-        let attempt = {
-            let this: &Self = self;
-            catch_unwind(AssertUnwindSafe(|| this.run_single(job, armed)))
-        };
-        match attempt {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                self.stats.panics_caught += 1;
-                Err(SimError::WorkerPanic(panic_message(payload)))
-            }
-        }
-    }
-
-    /// Standalone execution of one job under its current plan. By the
-    /// engine determinism contract the result is bit-identical to the
-    /// merged fan-out path for the same `(circuit, plan, seed)`.
-    fn run_single(
-        &self,
-        job: &PendingJob,
-        armed: Option<OpFaultFn>,
-    ) -> Result<JobOutput, SimError> {
-        // Width from the plan's (optimizer-rewritten) circuit, extended
-        // to cover the observable for expectation jobs — never the raw
-        // submission width, which may include lightcone-pruned qubits.
-        let obs_width = match &job.kind {
-            JobKind::Expectation { observable, .. } => observable
-                .terms()
-                .iter()
-                .flat_map(|(_, p)| p.support())
-                .map(|q| q + 1)
-                .max()
-                .unwrap_or(0),
-            JobKind::Histogram { .. } => 0,
-        };
-        let n = job.plan.circuit.num_qubits().max(obs_width).max(1);
-        let mut options = job.plan.options.clone();
-        options.seed = job.seed;
-        let mut sim = Simulator::for_backend(job.plan.backend, n, options);
-        if let Some(hook) = armed {
-            sim = sim.with_fallible_ops(hook);
-        }
-        match &job.kind {
-            JobKind::Histogram { repetitions } => sim
-                .run(&job.plan.circuit, *repetitions)
-                .map(|r| JobOutput::Histogram(Arc::new(r))),
-            JobKind::Expectation { observable, .. } => {
-                if job.plan.path == ExecPath::ShotEstimate {
-                    sim.estimate_expectation(
-                        &job.plan.circuit,
-                        observable,
-                        self.config.degraded_shots,
-                    )
-                    .map(|estimate| JobOutput::Expectation(estimate.value))
-                } else {
-                    sim.expectation_value(&job.plan.circuit, observable)
-                        .map(JobOutput::Expectation)
-                }
-            }
-        }
+        self.controller.observe(taken, elapsed_ms);
+        self.stats.batches += 1;
     }
 
     /// Routes one executed attempt's outcome: settle on success, and on
     /// failure walk the retry → degrade → terminal-failure ladder.
-    /// Parked in-batch duplicates follow their leader everywhere.
-    fn dispose(
-        &mut self,
-        mut job: PendingJob,
-        outcome: Result<JobOutput, SimError>,
-        parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
-    ) {
+    /// Duplicates parked on the job follow it everywhere.
+    fn dispose(&mut self, mut job: PendingJob, outcome: Result<JobOutput, SimError>) {
         job.attempt += 1;
         match outcome {
             Ok(output) => {
@@ -1091,33 +1002,20 @@ impl SimulationService {
                         self.cache.insert(key, Arc::new(output.clone()));
                     }
                 }
-                if let Some(dk) = job.dedup_key {
-                    if let Some(dups) = parked.remove(&dk) {
-                        for dup in dups {
-                            self.stats.merged_jobs += 1;
-                            let report = JobReport {
-                                output: output.clone(),
-                                attempts: job.attempt,
-                                degradations: job.degradations.clone(),
-                                backend: job.plan.backend,
-                                path: job.plan.path,
-                                rewrite: job.plan.rewrite.clone(),
-                                predicted_ms: job.predicted_ms,
-                                measured_ms: job.measured_ms,
-                            };
-                            self.finish(dup.id, Ok(report));
-                        }
-                    }
+                for dup in self.release(&job) {
+                    self.stats.merged_jobs += 1;
+                    let report = Self::report_for(&job, output.clone());
+                    self.finish(dup.id, Ok(report));
                 }
                 let report = Self::report_for(&job, output);
                 self.finish(job.id, Ok(report));
             }
-            Err(SimError::Cancelled) => self.fail(job, SimError::Cancelled, parked),
-            Err(err @ SimError::DeadlineExceeded { .. }) => self.fail(job, err, parked),
+            Err(SimError::Cancelled) => self.fail(job, SimError::Cancelled),
+            Err(err @ SimError::DeadlineExceeded { .. }) => self.fail(job, err),
             Err(err @ SimError::BudgetExhausted(_)) => {
                 // retrying the same plan exhausts the same budget —
                 // degrade immediately
-                self.degrade_or_fail(job, err, parked)
+                self.degrade_or_fail(job, err)
             }
             Err(err) => {
                 if self.config.retry.should_retry(job.rung_retries) {
@@ -1125,22 +1023,25 @@ impl SimulationService {
                     job.rung_retries += 1;
                     self.stats.retries += 1;
                     job.not_before_ms = self.clock.now_ms().saturating_add(backoff);
-                    self.requeue(job, parked);
+                    self.requeue(job);
                 } else {
-                    self.degrade_or_fail(job, err, parked);
+                    self.degrade_or_fail(job, err);
                 }
             }
         }
     }
 
+    /// Ends `job`'s leadership of its dedup key and returns the
+    /// duplicates parked on it.
+    fn release(&mut self, job: &PendingJob) -> Vec<PendingJob> {
+        job.dedup_key
+            .and_then(|key| self.in_flight.remove(&key))
+            .unwrap_or_default()
+    }
+
     /// Steps the job one rung down the degradation ladder, or settles
     /// it with `cause` at the bottom.
-    fn degrade_or_fail(
-        &mut self,
-        mut job: PendingJob,
-        cause: SimError,
-        parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
-    ) {
+    fn degrade_or_fail(&mut self, mut job: PendingJob, cause: SimError) {
         match degrade(&job.plan, &self.config.planner) {
             Some(next) => {
                 self.stats.degradations += 1;
@@ -1164,44 +1065,302 @@ impl SimulationService {
                     self.config.degraded_shots,
                 );
                 job.not_before_ms = self.clock.now_ms();
-                self.requeue(job, parked);
+                self.requeue(job);
             }
-            None => self.fail(job, cause, parked),
+            None => self.fail(job, cause),
         }
     }
 
     /// Re-admits a job (and its parked duplicates) to the queue,
     /// bypassing the submission bound — an accepted job is never
     /// dropped by backpressure.
-    fn requeue(&mut self, job: PendingJob, parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>) {
-        let dedup_key = job.dedup_key;
-        lock(&self.running).remove(&job.id);
-        self.queue.push_back(job);
-        if let Some(dk) = dedup_key {
-            if let Some(dups) = parked.remove(&dk) {
-                for dup in dups {
-                    lock(&self.running).remove(&dup.id);
-                    self.queue.push_back(dup);
-                }
-            }
+    fn requeue(&mut self, job: PendingJob) {
+        let dups = self.release(&job);
+        let mut phases = lock(&self.phases);
+        for job in std::iter::once(job).chain(dups) {
+            phases.insert(job.id, JobStatus::Pending);
+            self.queue.push_back(job);
         }
     }
 
     /// Settles a job and its parked duplicates with a terminal error.
-    fn fail(
-        &mut self,
-        job: PendingJob,
-        err: SimError,
-        parked: &mut FxHashMap<CacheKey, Vec<PendingJob>>,
-    ) {
-        if let Some(dk) = job.dedup_key {
-            if let Some(dups) = parked.remove(&dk) {
-                for dup in dups {
-                    self.finish(dup.id, Err(err.clone()));
+    fn fail(&mut self, job: PendingJob, err: SimError) {
+        for dup in self.release(&job) {
+            self.finish(dup.id, Err(err.clone()));
+        }
+        self.finish(job.id, Err(err));
+    }
+}
+
+impl Batch {
+    /// Executes every fan-out of the batch, each under `catch_unwind`:
+    /// the injected fault latency, the merged fan-outs, and per-job
+    /// isolation re-runs of any fan-out that fails. Touches no service
+    /// state.
+    pub(crate) fn execute(self) -> Executed {
+        let started = Instant::now();
+        let mut out = Executed {
+            taken: self.taken,
+            elapsed_ms: 0.0,
+            outcomes: Vec::new(),
+            observed: Vec::new(),
+            tally: ServiceStats::default(),
+        };
+        if let Some(fp) = &self.fault {
+            if fp.latency_ms > 0 && !self.work.is_empty() {
+                // artificial service latency, once per executed batch
+                self.clock.sleep_ms(fp.latency_ms);
+            }
+        }
+        for work in self.work {
+            match work {
+                Work::Alone(job, injected) => {
+                    out.run_alone(*job, injected, self.fault.as_ref(), self.degraded_shots)
+                }
+                Work::Histogram {
+                    n,
+                    repetitions,
+                    jobs,
+                    units,
+                } => out.run_histogram_group(n, repetitions, jobs, &units, self.degraded_shots),
+                Work::Expectation { jobs, units } => {
+                    out.run_expectation_group(jobs, &units, self.degraded_shots)
                 }
             }
         }
-        self.finish(job.id, Err(err));
+        out.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        out
+    }
+}
+
+impl Executed {
+    /// One job in its own failure domain, with the fault the sieve
+    /// picked for it (if any) injected.
+    fn run_alone(
+        &mut self,
+        job: PendingJob,
+        injected: InjectedFault,
+        fault: Option<&FaultPlan>,
+        degraded_shots: u64,
+    ) {
+        if injected != InjectedFault::None {
+            self.tally.faults_injected += 1;
+        }
+        let outcome = match injected {
+            InjectedFault::None => self.run_single_guarded(&job, None, degraded_shots),
+            InjectedFault::Panic => {
+                let seed = fault.map(|fp| fp.seed).unwrap_or_default();
+                let msg = format!(
+                    "injected panic (fault seed {seed}, job {}, attempt {})",
+                    job.id, job.attempt
+                );
+                self.guarded(|| panic!("{msg}"))
+            }
+            InjectedFault::BudgetExhaustion => Err(SimError::BudgetExhausted(format!(
+                "injected budget exhaustion (job {}, attempt {})",
+                job.id, job.attempt
+            ))),
+            InjectedFault::BackendFailure => {
+                let armed = fault.and_then(|fp| fp.op_fault_spec().arm(job.plan.backend));
+                self.run_single_guarded(&job, armed, degraded_shots)
+            }
+        };
+        self.outcomes.push((job, outcome));
+    }
+
+    /// One merged `run_batch` fan-out: every entry executes under its
+    /// own seed, so each job's histogram is bit-identical to a
+    /// standalone [`ExecutionPlan::run`] — batch composition never
+    /// leaks into results. The fan-out runs under `catch_unwind`; on
+    /// any group-level failure (error or panic) each entry re-runs
+    /// individually so every job gets its own isolated verdict.
+    fn run_histogram_group(
+        &mut self,
+        n: usize,
+        repetitions: u64,
+        jobs: Vec<PendingJob>,
+        units: &[f64],
+        degraded_shots: u64,
+    ) {
+        let backend = jobs[0].plan.backend;
+        let path = jobs[0].plan.path;
+        let mut options = jobs[0].plan.options.clone();
+        options.parallel_sweep = true; // fan the merged batch across threads
+        let sim = Simulator::for_backend(backend, n, options);
+        // Each job executes its plan's (optimizer-rewritten) circuit;
+        // the plan fingerprint in the group key guarantees every member
+        // went through the same pipeline.
+        let entries: Vec<(&Circuit, Option<u64>)> =
+            jobs.iter().map(|j| (&j.plan.circuit, j.seed)).collect();
+        let started = Instant::now();
+        let attempt = catch_unwind(AssertUnwindSafe(|| sim.run_batch(&entries, repetitions)));
+        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        match attempt {
+            Ok(Ok(results)) => {
+                let outputs = results
+                    .into_iter()
+                    .map(|r| JobOutput::Histogram(Arc::new(r)));
+                self.merged(backend, path, jobs, units, outputs.collect(), elapsed_ms);
+            }
+            // A merged fan-out reports only its first error — and a
+            // panic poisons the whole attempt. Isolate: re-run each
+            // entry in its own failure domain.
+            _ => self.isolate(jobs, degraded_shots),
+        }
+    }
+
+    /// One merged `expectation_sweep` fan-out over the group's shared
+    /// base circuit: entries differ only in their parameter bindings.
+    /// The walk is deterministic, so merging is trivially sound.
+    fn run_expectation_group(&mut self, jobs: Vec<PendingJob>, units: &[f64], degraded_shots: u64) {
+        let observable = match &jobs[0].kind {
+            JobKind::Expectation { observable, .. } => observable,
+            JobKind::Histogram { .. } => unreachable!("histogram job in expectation group"),
+        };
+        let backend = jobs[0].plan.backend;
+        let path = jobs[0].plan.path;
+        let mut options = jobs[0].plan.options.clone();
+        options.parallel_sweep = true;
+        // The observable lightcone commutes with parameter resolution
+        // (it drops ops by support alone), so pruning the shared base
+        // yields exactly the per-job plan circuits after resolution —
+        // the merged sweep stays bit-identical to standalone walks.
+        let mut targets: Vec<Qubit> = observable
+            .terms()
+            .iter()
+            .flat_map(|(_, p)| p.support().into_iter().map(|q| Qubit(q as u32)))
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        let pruned;
+        let base = if jobs[0].plan.optimize.map(|c| c.lightcone).unwrap_or(false) {
+            pruned = lightcone_prune_for(&jobs[0].base, &targets);
+            &pruned
+        } else {
+            &jobs[0].base
+        };
+        // Width from the (possibly pruned) base, extended to cover the
+        // observable's support — never the raw submission width.
+        let n = base
+            .num_qubits()
+            .max(targets.iter().map(|q| q.0 as usize + 1).max().unwrap_or(0))
+            .max(1);
+        let sim = Simulator::for_backend(backend, n, options);
+        let resolvers: Vec<ParamResolver> = jobs.iter().map(|j| j.resolver.clone()).collect();
+        let started = Instant::now();
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            sim.expectation_sweep(base, &resolvers, observable)
+        }));
+        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        match attempt {
+            Ok(Ok(values)) => {
+                let outputs = values.into_iter().map(JobOutput::Expectation).collect();
+                self.merged(backend, path, jobs, units, outputs, elapsed_ms);
+            }
+            _ => self.isolate(jobs, degraded_shots),
+        }
+    }
+
+    /// Books a successful merged fan-out: its cost observation, and each
+    /// job's output with its share of the wall-clock by static units.
+    fn merged(
+        &mut self,
+        backend: BackendKind,
+        path: ExecPath,
+        jobs: Vec<PendingJob>,
+        units: &[f64],
+        outputs: Vec<JobOutput>,
+        elapsed_ms: f64,
+    ) {
+        let total_units: f64 = units.iter().sum();
+        let merged = jobs.len() > 1;
+        self.tally.simulated_jobs += jobs.len() as u64;
+        self.observed.push((backend, path, total_units, elapsed_ms));
+        for ((mut job, output), u) in jobs.into_iter().zip(outputs).zip(units) {
+            if merged {
+                self.tally.merged_jobs += 1;
+            }
+            if total_units > 0.0 {
+                job.measured_ms = Some(elapsed_ms * u / total_units);
+            }
+            self.outcomes.push((job, Ok(output)));
+        }
+    }
+
+    /// Re-runs each job of a failed fan-out in its own failure domain.
+    fn isolate(&mut self, jobs: Vec<PendingJob>, degraded_shots: u64) {
+        for job in jobs {
+            let outcome = self.run_single_guarded(&job, None, degraded_shots);
+            self.outcomes.push((job, outcome));
+        }
+    }
+
+    /// Runs one job standalone inside its own `catch_unwind` failure
+    /// domain; a panic becomes [`SimError::WorkerPanic`].
+    fn run_single_guarded(
+        &mut self,
+        job: &PendingJob,
+        armed: Option<OpFaultFn>,
+        degraded_shots: u64,
+    ) -> Result<JobOutput, SimError> {
+        self.tally.simulated_jobs += 1;
+        self.guarded(|| run_single(job, armed, degraded_shots))
+    }
+
+    /// Runs `f` under `catch_unwind`, counting a panic and turning it
+    /// into [`SimError::WorkerPanic`].
+    fn guarded(
+        &mut self,
+        f: impl FnOnce() -> Result<JobOutput, SimError>,
+    ) -> Result<JobOutput, SimError> {
+        catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+            self.tally.panics_caught += 1;
+            Err(SimError::WorkerPanic(panic_message(payload)))
+        })
+    }
+}
+
+/// Standalone execution of one job under its current plan. By the
+/// engine determinism contract the result is bit-identical to the
+/// merged fan-out path for the same `(circuit, plan, seed)`.
+fn run_single(
+    job: &PendingJob,
+    armed: Option<OpFaultFn>,
+    degraded_shots: u64,
+) -> Result<JobOutput, SimError> {
+    // Width from the plan's (optimizer-rewritten) circuit, extended
+    // to cover the observable for expectation jobs — never the raw
+    // submission width, which may include lightcone-pruned qubits.
+    let obs_width = match &job.kind {
+        JobKind::Expectation { observable, .. } => observable
+            .terms()
+            .iter()
+            .flat_map(|(_, p)| p.support())
+            .map(|q| q + 1)
+            .max()
+            .unwrap_or(0),
+        JobKind::Histogram { .. } => 0,
+    };
+    let n = job.plan.circuit.num_qubits().max(obs_width).max(1);
+    let mut options = job.plan.options.clone();
+    options.seed = job.seed;
+    let mut sim = Simulator::for_backend(job.plan.backend, n, options);
+    if let Some(hook) = armed {
+        sim = sim.with_fallible_ops(hook);
+    }
+    match &job.kind {
+        JobKind::Histogram { repetitions } => sim
+            .run(&job.plan.circuit, *repetitions)
+            .map(|r| JobOutput::Histogram(Arc::new(r))),
+        JobKind::Expectation { observable, .. } => {
+            if job.plan.path == ExecPath::ShotEstimate {
+                sim.estimate_expectation(&job.plan.circuit, observable, degraded_shots)
+                    .map(|estimate| JobOutput::Expectation(estimate.value))
+            } else {
+                sim.expectation_value(&job.plan.circuit, observable)
+                    .map(JobOutput::Expectation)
+            }
+        }
     }
 }
 

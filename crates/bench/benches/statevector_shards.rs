@@ -8,7 +8,7 @@
 //!   `apply_matrix` call at a time: every gate is a full read+write
 //!   pass over the 256 MiB buffer;
 //! * `sweep_24q/fused_passes` — the same sweep through
-//!   `apply_unitaries`, which groups consecutive gates into
+//!   `apply_matrices`, which groups consecutive gates into
 //!   shard-blocked passes (each pass touches every shard once, applying
 //!   every gate of the pass while the shard is cache-resident);
 //! * `reduce_24q/*` — `norm_sqr` (tree-reduced over shards) and a
@@ -69,7 +69,7 @@ fn bench_gate_sweep(c: &mut Criterion) {
     group.bench_function("fused_passes", |b| {
         let op_refs: Vec<(&Matrix, &[usize])> =
             ops.iter().map(|(u, qs)| (u, qs.as_slice())).collect();
-        b.iter(|| bgls_statevector::apply_unitaries(&mut amps, &op_refs))
+        b.iter(|| bgls_statevector::apply_matrices(&mut amps, &op_refs))
     });
     group.finish();
 }

@@ -7,7 +7,10 @@
 //! `U` on the row qubits and `conj(U)` on the column qubits with the same
 //! dense kernels used by [`crate::StateVector`]. Channels apply their full
 //! Kraus sum — exactly, with no trajectory sampling — so noisy circuits
-//! keep the sample-parallelized BGLS path.
+//! keep the sample-parallelized BGLS path. On the vectorized form the Kraus
+//! sum of a k-qubit channel is one `4^k x 4^k` matrix, the superoperator
+//! `S = sum_i K_i (x) conj(K_i)` on qubits `(q.., q + n..)`, so a channel
+//! costs one in-place kernel pass like a gate does.
 
 use crate::kernel;
 use crate::shard::ShardedBuffer;
@@ -110,27 +113,33 @@ impl DensityMatrix {
 
     /// Applies a matrix to the row side and its conjugate to the column
     /// side: `rho -> M rho M^dagger` (not necessarily trace preserving).
-    /// Both sides go through [`apply_unitaries`](crate::apply_unitaries) in one call, so
+    /// Both sides go through [`apply_matrices`](crate::apply_matrices) in one call, so
     /// the row and column sweeps fuse into a single pass when their shard
     /// footprints allow it.
     fn conjugate_by(&mut self, m: &Matrix, qubits: &[usize]) {
         let col_qubits: Vec<usize> = qubits.iter().map(|&q| q + self.n).collect();
         let conj = m.conj();
-        kernel::apply_unitaries(&mut self.vec, &[(m, qubits), (&conj, &col_qubits)]);
+        kernel::apply_matrices(&mut self.vec, &[(m, qubits), (&conj, &col_qubits)]);
     }
 
     /// Exact channel application: `rho -> sum_i K_i rho K_i^dagger`.
+    ///
+    /// On the vectorized `rho` the whole Kraus sum is one linear map, the
+    /// channel's Liouville superoperator `S = sum_i K_i (x) conj(K_i)`
+    /// (`4^k x 4^k`), acting on the row qubits `q..` and the column qubits
+    /// `q + n..` together. It is applied in place in a single kernel pass:
+    /// a 1q channel is a 2q op on the parallel shard path, a 2q channel a
+    /// 4q op on the gather/scatter path.
     fn apply_channel_exact(&mut self, channel: &Channel, qubits: &[usize]) -> Result<(), SimError> {
         self.check_qubits(qubits)?;
-        let mut acc = ShardedBuffer::zeroed(self.vec.len());
-        for k in channel.kraus() {
-            let mut branch = self.clone();
-            branch.conjugate_by(k, qubits);
-            for (a, b) in acc.iter_mut().zip(branch.vec.iter()) {
-                *a += *b;
-            }
-        }
-        self.vec = acc;
+        let mut targets = qubits.to_vec();
+        targets.extend(qubits.iter().map(|q| q + self.n));
+        let zero = Matrix::zeros(1 << targets.len(), 1 << targets.len());
+        let s = channel
+            .kraus()
+            .iter()
+            .fold(zero, |s, k| &s + &k.kron(&k.conj()));
+        kernel::apply_matrix(&mut self.vec, &s, &targets);
         Ok(())
     }
 }

@@ -22,7 +22,7 @@
 //! [`bgls_linalg::dispatch`] — runtime-ISA-selected (AVX-512/AVX2/NEON/
 //! scalar) split-re/im microkernels that are bit-identical across paths.
 //!
-//! [`apply_unitaries`] adds pass fusion on top: consecutive gates whose
+//! [`apply_matrices`] adds pass fusion on top: consecutive ops whose
 //! shard-bit footprint fits one shard group are applied back-to-back while
 //! the group is cache-resident, turning k full-buffer memory passes into
 //! one. Because gates act elementwise on disjoint shard groups, fusion is
@@ -72,10 +72,10 @@ fn validate(len: usize, u: &Matrix, qubits: &[usize]) {
     }
 }
 
-/// Applies a `2^k x 2^k` unitary (or any matrix — Kraus operators reuse
-/// this) to the amplitudes, acting on `qubits`. Gate-matrix convention:
-/// the first listed qubit is the most significant gate-index bit; state
-/// index bit `q` belongs to qubit `q`.
+/// Applies a `2^k x 2^k` unitary (or any matrix — density-matrix channel
+/// superoperators reuse this) to the amplitudes, acting on `qubits`.
+/// Gate-matrix convention: the first listed qubit is the most significant
+/// gate-index bit; state index bit `q` belongs to qubit `q`.
 ///
 /// # Panics
 /// Panics if dimensions are inconsistent or a qubit index repeats/overflows.
@@ -92,7 +92,8 @@ pub fn apply_matrix(amps: &mut [C64], u: &Matrix, qubits: &[usize]) {
     }
 }
 
-/// Applies a sequence of unitaries with **pass fusion**: consecutive ops
+/// Applies a sequence of matrices — gates, or the row and column halves of
+/// a density-matrix gate — with **pass fusion**: consecutive ops
 /// whose combined shard-bit footprint spans at most four shards are applied
 /// in one pass over memory, per shard group, while the group is
 /// cache-resident.
@@ -103,7 +104,7 @@ pub fn apply_matrix(amps: &mut [C64], u: &Matrix, qubits: &[usize]) {
 ///
 /// # Panics
 /// As [`apply_matrix`], for any op in the list.
-pub fn apply_unitaries(amps: &mut [C64], ops: &[(&Matrix, &[usize])]) {
+pub fn apply_matrices(amps: &mut [C64], ops: &[(&Matrix, &[usize])]) {
     for (u, qs) in ops {
         validate(amps.len(), u, qs);
     }
@@ -770,7 +771,7 @@ mod tests {
         }
         let mut fused = amps.clone();
         let refs: Vec<(&Matrix, &[usize])> = ops.iter().map(|(u, q)| (u, q.as_slice())).collect();
-        apply_unitaries(&mut fused, &refs);
+        apply_matrices(&mut fused, &refs);
         bit_eq(&fused, &unfused);
     }
 

@@ -33,7 +33,7 @@ mod statevector;
 
 pub use density::DensityMatrix;
 pub use kernel::{
-    apply_matrix, apply_unitaries, norm_sqr, scale, PAR_THRESHOLD, SHARD_BITS, SHARD_LEN,
+    apply_matrices, apply_matrix, norm_sqr, scale, PAR_THRESHOLD, SHARD_BITS, SHARD_LEN,
 };
 pub use shard::{ShardedBuffer, AMP_ALIGN};
 pub use statevector::StateVector;

@@ -70,7 +70,7 @@ impl StateVector {
 
     /// Evolves |0...0> through a unitary circuit (gates only).
     ///
-    /// The whole gate list is handed to [`apply_unitaries`](crate::apply_unitaries) in one
+    /// The whole gate list is handed to [`apply_matrices`](crate::apply_matrices) in one
     /// call, so runs of gates whose shard footprints overlap fuse into a
     /// single pass over the amplitudes instead of one sweep per gate.
     pub fn from_circuit(circuit: &Circuit, n: usize) -> Result<Self, SimError> {
@@ -94,7 +94,7 @@ impl StateVector {
         }
         let ops: Vec<(&Matrix, &[usize])> =
             owned.iter().map(|(m, qs)| (m, qs.as_slice())).collect();
-        kernel::apply_unitaries(&mut sv.amps, &ops);
+        kernel::apply_matrices(&mut sv.amps, &ops);
         Ok(sv)
     }
 

@@ -2,7 +2,9 @@
 //! chain-MPS (chi=32) and lazy-network backends, then for three engine
 //! paths on the statevector: a multiplicity map wide enough to fan out
 //! across Rayon threads, a noisy trajectory-forest run, and the paper's
-//! three-hook constructor (`Simulator::with_hooks`). Diff the output
+//! three-hook constructor (`Simulator::with_hooks`), and last a noisy
+//! circuit on the density matrix, whose exact channels keep it on the
+//! sample-parallel multiplicity-map path. Diff the output
 //! across revisions (or across `RAYON_NUM_THREADS` settings) to check
 //! that a change left seeded sampling behaviour bit-identical:
 //!
@@ -18,7 +20,7 @@ use bgls_apps::{brickwork_circuit, random_u2_brickwork};
 use bgls_circuit::{Channel, Circuit, Gate, Operation, Qubit};
 use bgls_core::{default_apply_op, BglsState, BitString, Histogram, Simulator};
 use bgls_mps::{ChainMps, LazyNetworkState, MpsOptions};
-use bgls_statevector::StateVector;
+use bgls_statevector::{DensityMatrix, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -65,6 +67,29 @@ fn noisy_forest_circuit() -> Circuit {
     c
 }
 
+/// Brickwork layers with depolarizing noise on every qubit between them
+/// and amplitude damping before a full readout. The density backend
+/// absorbs each channel exactly, so repetitions ride one multiplicity map.
+fn noisy_density_circuit() -> Circuit {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut c = Circuit::new();
+    for _ in 0..3 {
+        c.extend_circuit(&brickwork_circuit(8, 2, &mut rng));
+        for q in 0..8 {
+            c.push(
+                Operation::channel(Channel::depolarizing(0.02).unwrap(), vec![Qubit(q)]).unwrap(),
+            );
+        }
+    }
+    for q in [1, 4, 7] {
+        c.push(
+            Operation::channel(Channel::amplitude_damping(0.1).unwrap(), vec![Qubit(q)]).unwrap(),
+        );
+    }
+    c.push(Operation::measure(Qubit::range(8), "m").unwrap());
+    c
+}
+
 fn main() {
     let mut rng = StdRng::seed_from_u64(32);
     let chain_circuit = random_u2_brickwork(20, 8, &mut rng);
@@ -104,4 +129,8 @@ fn main() {
     .with_seed(3);
     let result = sim.run(&wide, 4000).unwrap();
     print_histogram("with_hooks", result.histogram("m").unwrap());
+
+    let sim = Simulator::new(DensityMatrix::zero(8)).with_seed(5);
+    let result = sim.run(&noisy_density_circuit(), 4000).unwrap();
+    print_histogram("density", result.histogram("m").unwrap());
 }

@@ -16,10 +16,13 @@
 //!    a digest of every result bit.
 //! 3. **Forced ISA paths**: the scalar, AVX2, and AVX-512 kernels (and
 //!    NEON on aarch64) return the same bits for gates and reductions.
+//!
+//! Alongside them, the density backend's channel superoperator pass is
+//! checked against the explicit Kraus sum `sum_i K_i rho K_i^dagger`.
 
 use bgls_suite::circuit::{
-    generate_random_circuit, Circuit, Gate, OpKind, Operation, PauliString, Qubit,
-    RandomCircuitParams,
+    embed_unitary, generate_random_circuit, Channel, Circuit, Gate, OpKind, Operation, PauliString,
+    Qubit, RandomCircuitParams,
 };
 use bgls_suite::core::{BglsState, BitString, MarginalState};
 use bgls_suite::linalg::{Matrix, C64};
@@ -243,6 +246,100 @@ fn density_matrix_sharded_path_matches_statevector() {
     assert!((dm.trace() - 1.0).abs() < 1e-12);
 }
 
+// ------------------------------------------------ channel superoperators
+
+/// `a * b`, skipping the zero entries of `a`. An embedded k-qubit Kraus
+/// operator has `2^k` nonzeros per row, so this costs `O(4^n 2^k)` where
+/// a dense product costs `O(8^n)`.
+fn sparse_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for r in 0..a.rows() {
+        for (j, &x) in a.row(r).iter().enumerate() {
+            if x != C64::ZERO {
+                for c in 0..b.cols() {
+                    out[(r, c)] += x * b[(j, c)];
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `sum_i K_i rho K_i^dagger` with each `K_i` embedded as a dense
+/// `2^n x 2^n` operator: the textbook form of a channel on a mixed state.
+/// `K rho K^dagger` is evaluated as `(K (K rho)^dagger)^dagger`.
+fn kraus_sum_reference(rho: &Matrix, channel: &Channel, qubits: &[usize], n: usize) -> Matrix {
+    let qs: Vec<Qubit> = qubits.iter().map(|&q| Qubit(q as u32)).collect();
+    let zero = Matrix::zeros(rho.rows(), rho.cols());
+    channel.kraus().iter().fold(zero, |acc, k| {
+        let full = embed_unitary(k, &qs, n);
+        let left = sparse_matmul(&full, rho);
+        &acc + &sparse_matmul(&full, &left.dagger()).dagger()
+    })
+}
+
+#[test]
+fn channel_superoperator_matches_explicit_kraus_sum() {
+    // 8 qubits vectorize to 2^16 entries, four shards. Column qubit q + 8
+    // is shard-local for q < 6 and a shard-index bit for q >= 6, so the
+    // 1q placements cover the local and the cross-shard superoperator
+    // shapes; the 2q placements run the 4q gather/scatter path.
+    let n = 8;
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut mixed = DensityMatrix::zero(n);
+    for (u, qs) in gate_ops(&random_clifford(n, 6, 29)) {
+        mixed.apply_gate(&matrix_gate(u, qs.len()), &qs).unwrap();
+    }
+    for q in 0..n {
+        mixed
+            .apply_gate(&Gate::Ry((0.3 + 0.1 * q as f64).into()), &[q])
+            .unwrap();
+    }
+    for q in [1, 4, 6] {
+        let ch = Channel::amplitude_damping(0.15).unwrap();
+        mixed.apply_kraus(&ch, &[q], &mut rng).unwrap();
+    }
+    assert!(mixed.purity() < 0.99, "input state must be mixed");
+
+    let one_qubit = [
+        Channel::depolarizing(0.2).unwrap(),
+        Channel::bit_flip(0.3).unwrap(),
+        Channel::phase_flip(0.25).unwrap(),
+        Channel::amplitude_damping(0.4).unwrap(),
+    ];
+    let mut cases: Vec<(Channel, Vec<usize>)> = Vec::new();
+    for ch in &one_qubit {
+        for q in [0, 5, 7] {
+            cases.push((ch.clone(), vec![q]));
+        }
+    }
+    for qs in [vec![6, 7], vec![0, 7]] {
+        cases.push((Channel::depolarizing2(0.3).unwrap(), qs));
+    }
+
+    let rho = mixed.to_matrix();
+    for (ch, qs) in cases {
+        let want = kraus_sum_reference(&rho, &ch, &qs, n);
+        let mut dm = mixed.clone();
+        dm.apply_kraus(&ch, &qs, &mut rng).unwrap();
+        let got = dm.to_matrix();
+        let diff = max_abs_diff(got.data(), want.data());
+        assert!(diff <= 1e-12, "{} on {qs:?}: off by {diff:e}", ch.name());
+        assert!(
+            (dm.trace() - mixed.trace()).abs() <= 1e-12,
+            "{} on {qs:?}: trace {} -> {}",
+            ch.name(),
+            mixed.trace(),
+            dm.trace()
+        );
+        assert!(
+            got.is_hermitian(1e-12),
+            "{} on {qs:?}: not Hermitian",
+            ch.name()
+        );
+    }
+}
+
 // -------------------------------------------------- thread-count digests
 
 fn fnv1a(digest: &mut u64, bits: u64) {
@@ -254,16 +351,35 @@ fn fnv1a(digest: &mut u64, bits: u64) {
 
 /// Digest of every observable bit a scenario produces: amplitudes (or
 /// basis probabilities for the density backend), squared norm, a Pauli
-/// expectation, and a marginal mass.
+/// expectation, and a marginal mass. The density scenario interleaves
+/// channels with its gates: depolarizing on every qubit plus one
+/// two-qubit depolarizing a third of the way in, amplitude damping on
+/// every qubit two thirds of the way in.
 fn scenario_digest(scenario: &str) -> u64 {
     let (kind, n) = scenario.split_once(':').expect("scenario kind:n");
     let n: usize = n.parse().expect("scenario width");
     let mut digest = 0xcbf29ce484222325u64;
     if kind == "density" {
         let mut dm = DensityMatrix::zero(n);
-        for (u, qs) in gate_ops(&random_clifford(n, 6, 19)) {
+        let mut rng = StdRng::seed_from_u64(0);
+        let ops = gate_ops(&random_clifford(n, 6, 19));
+        let third = ops.len() / 3;
+        for (i, (u, qs)) in ops.into_iter().enumerate() {
             let k = qs.len();
             dm.apply_gate(&matrix_gate(u, k), &qs).unwrap();
+            if i == third {
+                let depol = Channel::depolarizing(0.05).unwrap();
+                for q in 0..n {
+                    dm.apply_kraus(&depol, &[q], &mut rng).unwrap();
+                }
+                let depol2 = Channel::depolarizing2(0.1).unwrap();
+                dm.apply_kraus(&depol2, &[0, 1], &mut rng).unwrap();
+            } else if i == 2 * third {
+                let damp = Channel::amplitude_damping(0.1).unwrap();
+                for q in 0..n {
+                    dm.apply_kraus(&damp, &[q], &mut rng).unwrap();
+                }
+            }
         }
         for v in 0..1u64 << n {
             fnv1a(

@@ -86,9 +86,11 @@ pub enum BackendKind {
     /// Aaronson–Gottesman stabilizer tableau (`bgls-stabilizer`):
     /// Clifford circuits at any width with projective collapse, so
     /// mid-circuit-measurement Clifford circuits run (which the CH form
-    /// rejects). Amplitude queries cost `O(n^3)` bit-ops vs the CH
-    /// form's `O(n^2)`, so terminally-measured Clifford work should
-    /// still route to [`BackendKind::ChForm`].
+    /// rejects). Each probability call row-reduces the stabilizer
+    /// group (`O(n^3 / 64)` word ops) before its per-candidate support
+    /// tests, where the CH form needs no per-call reduction, so
+    /// terminally-measured Clifford work should still route to
+    /// [`BackendKind::ChForm`].
     Tableau,
 }
 

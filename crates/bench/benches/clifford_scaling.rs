@@ -3,7 +3,7 @@
 
 use bgls_bench::clifford_workload;
 use bgls_core::Simulator;
-use bgls_stabilizer::{ChForm, TableauSimulator};
+use bgls_stabilizer::{ChForm, CliffordTableau, TableauSimulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_depth(c: &mut Criterion) {
@@ -28,6 +28,10 @@ fn bench_width(c: &mut Criterion) {
             let sim = Simulator::new(ChForm::zero(n)).with_seed(3);
             b.iter(|| sim.sample_final_bitstrings(&circuit, 100).unwrap());
         });
+        group.bench_with_input(BenchmarkId::new("tableau_bgls", n), &n, |b, _| {
+            let sim = Simulator::new(CliffordTableau::zero(n)).with_seed(3);
+            b.iter(|| sim.sample_final_bitstrings(&circuit, 100).unwrap());
+        });
         group.bench_with_input(BenchmarkId::new("tableau_reference", n), &n, |b, _| {
             let sim = TableauSimulator::new(n).with_seed(3);
             b.iter(|| sim.sample(&circuit, 100).unwrap());
@@ -37,8 +41,9 @@ fn bench_width(c: &mut Criterion) {
 }
 
 fn bench_amplitude_cost(c: &mut Criterion) {
-    // the f(n, d) claim directly: a single CH-form amplitude query costs
-    // O(n^2) independent of the depth that produced the state
+    // the f(n, d) claim directly: a single CH-form probability query is
+    // a support test of at most O(n^2 / 64) word operations, independent
+    // of the depth that produced the state
     use bgls_core::{BglsState, BitString};
     let mut group = c.benchmark_group("chform_amplitude");
     for &n in &[8usize, 16, 32, 64] {

@@ -186,6 +186,13 @@ impl BitVec {
         }
     }
 
+    /// The packed bits as little-endian `u64` words: bit `i` is bit
+    /// `i % 64` of word `i / 64`, and bits past `len` are zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Lowest 64 bits as a `u64` (vector must be at most 64 bits).
     pub fn as_u64(&self) -> u64 {
         assert!(self.len <= 64, "as_u64 on vector longer than 64 bits");

@@ -16,7 +16,9 @@
 //!
 //! Bitstring amplitudes cost O(n^2 / 64) — independent of circuit depth —
 //! which is what makes gate-by-gate sampling of Clifford circuits
-//! polynomial (paper Fig. 3).
+//! polynomial (paper Fig. 3). Probabilities are cheaper still: a
+//! stabilizer state's `|<x|psi>|^2` is either 0 or one constant, so a
+//! candidate costs one support test of `O(|x| n / 64)` word operations.
 
 use bgls_core::SimError;
 use bgls_linalg::{BitMatrix, BitVec, C64};
@@ -406,93 +408,51 @@ impl ChForm {
         amp * C64::real(FRAC_1_SQRT_2.powi(hw as i32))
     }
 
-    /// Born probability `|<x|psi>|^2`.
+    /// Born probability `|<x|psi>|^2`, bit-identical to
+    /// `amplitude(x).norm_sqr()` (see `ChForm::probabilities_of_words`).
     pub fn probability_of(&self, x: &BitVec) -> f64 {
-        self.amplitude(x).norm_sqr()
+        assert_eq!(x.len(), self.n, "bitstring width mismatch");
+        self.probabilities_of_words([x.words()])[0]
     }
 
-    /// Born probabilities of a whole candidate set, sharing the
-    /// `U_C^dag` Pauli-conjugation work across candidates.
-    ///
-    /// Candidates from the sampler differ only on the support bits of
-    /// the current gate, so the running `(mu, xF, Z-accumulator)` merge
-    /// state is identical until the first disagreeing bit position. A
-    /// trie over bit positions advances every group of agreeing
-    /// candidates once and forks only where the set splits, so each
-    /// shared prefix of conjugated `X_p` rows is merged once instead of
-    /// once per candidate, and each leaf's amplitude tail is computed
-    /// once per distinct bitstring.
-    ///
-    /// Every candidate passes through the exact
-    /// `conjugation_step` / `amplitude_tail`
-    /// sequence a scalar [`ChForm::probability_of`] call performs (the
-    /// merge is integer/boolean arithmetic, the tail a fixed float
-    /// expression), so results are bit-identical to scalar calls.
-    pub fn probabilities_batch_of(&self, candidates: &[BitVec]) -> Vec<f64> {
-        let mut out = vec![0.0; candidates.len()];
-        if candidates.is_empty() {
-            return out;
-        }
-        for c in candidates {
-            assert_eq!(c.len(), self.n, "bitstring width mismatch");
-        }
-        struct Node {
-            p: usize,
-            mu: u8,
-            xf: BitVec,
-            za: BitVec,
-            idxs: Vec<usize>,
-        }
-        let mut stack = vec![Node {
-            p: 0,
-            mu: 0,
-            xf: BitVec::zeros(self.n),
-            za: BitVec::zeros(self.n),
-            idxs: (0..candidates.len()).collect(),
-        }];
-        while let Some(mut node) = stack.pop() {
-            let mut p = node.p;
-            // Advance through positions the whole group agrees on.
-            while p < self.n {
-                let first = candidates[node.idxs[0]].get(p);
-                if !node.idxs.iter().all(|&c| candidates[c].get(p) == first) {
-                    break;
+    /// Born probabilities of bitstrings given as little-endian `u64`
+    /// words (bit `p` is bit `p % 64` of word `p / 64`). Since
+    /// `U_C^dag |x> = i^mu |xF>`, `x` is in the support iff
+    /// `(xF ^ s) & !v == 0`, and every supported amplitude differs from
+    /// the tail at `(mu, xF) = (0, s)` only by `i^-mu` and a sign. Those
+    /// swap or negate `re`/`im` exactly, so that tail's `norm_sqr`,
+    /// computed once per call, equals `amplitude(x).norm_sqr()` bit for
+    /// bit; each candidate costs one XOR of `F` rows, `O(|x| n / 64)`.
+    pub(crate) fn probabilities_of_words<W: AsRef<[u64]>>(
+        &self,
+        xs: impl IntoIterator<Item = W>,
+    ) -> Vec<f64> {
+        let weight = self.amplitude_tail(0, &self.s).norm_sqr();
+        xs.into_iter()
+            .map(|x| {
+                if self.in_support(x.as_ref()) {
+                    weight
+                } else {
+                    0.0
                 }
-                if first {
-                    self.conjugation_step(p, &mut node.mu, &mut node.xf, &mut node.za);
+            })
+            .collect()
+    }
+
+    /// Whether `(xF ^ s) & !v` is zero, one output word at a time.
+    fn in_support(&self, x: &[u64]) -> bool {
+        let (s, v) = (self.s.words(), self.v.words());
+        (0..s.len()).all(|j| {
+            let mut acc = s[j];
+            for (wi, &word) in x.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    acc ^= self.f.row(wi * 64 + bits.trailing_zeros() as usize).words()[j];
+                    bits &= bits - 1;
                 }
-                p += 1;
             }
-            if p == self.n {
-                let prob = self.amplitude_tail(node.mu, &node.xf).norm_sqr();
-                for &c in &node.idxs {
-                    out[c] = prob;
-                }
-                continue;
-            }
-            // Fork on bit `p`.
-            let (ones, zeros): (Vec<usize>, Vec<usize>) =
-                node.idxs.into_iter().partition(|&c| candidates[c].get(p));
-            let mut mu1 = node.mu;
-            let mut xf1 = node.xf.clone();
-            let mut za1 = node.za.clone();
-            self.conjugation_step(p, &mut mu1, &mut xf1, &mut za1);
-            stack.push(Node {
-                p: p + 1,
-                mu: node.mu,
-                xf: node.xf,
-                za: node.za,
-                idxs: zeros,
-            });
-            stack.push(Node {
-                p: p + 1,
-                mu: mu1,
-                xf: xf1,
-                za: za1,
-                idxs: ones,
-            });
-        }
-        out
+            acc & !v[j] == 0
+        })
     }
 
     /// Exact expectation `<psi| i^{phase} X^x Z^z |psi>` of a Pauli
@@ -722,8 +682,32 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-10, "norm drifted: {total}");
     }
 
+    /// Every probability entry point, over every `x`, against
+    /// `amplitude(x).norm_sqr()` bit for bit.
+    fn assert_probabilities_match_amplitudes(st: &ChForm, context: &str) {
+        use bgls_core::{BglsState, BitString};
+        let n = st.num_qubits();
+        let all: Vec<BitString> = (0..1u64 << n).map(|x| BitString::from_u64(n, x)).collect();
+        let batched = st.probabilities_batch(&all);
+        for (b, &p) in all.iter().zip(&batched) {
+            let x = bits(n, b.as_u64());
+            let want = st.amplitude(&x).norm_sqr();
+            for got in [p, st.probability(*b), st.probability_of(&x)] {
+                assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{context}, x = {x:?}: {got} vs amplitude {want}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn batched_probabilities_are_bit_identical_to_scalar() {
+        use bgls_circuit::{generate_random_circuit, Gate, RandomCircuitParams};
+        use bgls_core::BglsState;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
         // Scrambled Clifford state (same walk as the normalization test).
         let mut st = ChForm::zero(6);
         let seq: [(usize, usize, u8); 14] = [
@@ -750,33 +734,45 @@ mod tests {
                 _ => st.apply_cz(a, b).unwrap(),
             }
         }
-        // Sampler-shaped sets (shared base, all assignments of a small
-        // support) plus a fully mixed set.
-        let base = 0b101100u64;
-        let mut sets: Vec<Vec<BitVec>> = Vec::new();
-        for support in [vec![2usize], vec![0, 4], vec![1, 3, 5]] {
-            let mut cands = Vec::new();
-            for assign in 0..1u64 << support.len() {
-                let mut x = base;
-                for (t, &q) in support.iter().enumerate() {
-                    x = (x & !(1 << q)) | (((assign >> t) & 1) << q);
+        assert_probabilities_match_amplitudes(&st, "scrambled walk");
+        assert!(st.probabilities_batch(&[]).is_empty());
+
+        // Random Clifford circuits over the whole dispatch set, checked
+        // after every gate.
+        let gate_set = vec![
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::SqrtX,
+            Gate::Cnot,
+            Gate::Cz,
+            Gate::Swap,
+            Gate::ISwap,
+        ];
+        for n in 1..=10 {
+            for seed in 0..2 {
+                let params = RandomCircuitParams {
+                    qubits: n,
+                    moments: 6,
+                    op_density: 1.0,
+                    gate_set: gate_set.clone(),
+                };
+                let mut rng = StdRng::seed_from_u64(1000 * n as u64 + seed);
+                let circuit = generate_random_circuit(&params, &mut rng);
+                let mut st = ChForm::zero(n);
+                for (i, op) in circuit.all_operations().enumerate() {
+                    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+                    st.apply_gate(op.as_gate().unwrap(), &qs).unwrap();
+                    assert_probabilities_match_amplitudes(
+                        &st,
+                        &format!("n {n} seed {seed} gate {i}"),
+                    );
                 }
-                cands.push(bits(6, x));
-            }
-            sets.push(cands);
-        }
-        sets.push((0..13).map(|t| bits(6, (t * 37 + 5) % 64)).collect());
-        for cands in sets {
-            let batched = st.probabilities_batch_of(&cands);
-            for (c, p) in cands.iter().zip(&batched) {
-                let scalar = st.probability_of(c);
-                assert!(
-                    p.to_bits() == scalar.to_bits(),
-                    "batched {p} != scalar {scalar} for {c:?}"
-                );
             }
         }
-        assert!(st.probabilities_batch_of(&[]).is_empty());
     }
 
     #[test]

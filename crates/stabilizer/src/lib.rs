@@ -1,7 +1,8 @@
 //! # bgls-stabilizer
 //!
 //! Stabilizer-state backend for BGLS (paper Sec. 4.1–4.2): the CH-form
-//! representation of Bravyi et al. 2019 with O(n^2) bitstring amplitudes,
+//! representation of Bravyi et al. 2019 with O(n^2) bitstring amplitudes
+//! and probabilities answered as an O(|x| n / 64) support test,
 //! a full Clifford gate dispatcher (including recognition of merged
 //! single-qubit Clifford matrices), and the sum-over-Cliffords channel
 //! (`act_on_near_clifford`) extending the backend to Clifford+Rz(theta)

@@ -275,20 +275,19 @@ impl BglsState for ChForm {
     }
 
     fn probability(&self, bits: BitString) -> f64 {
-        let x = BitVec::from_u64(bits.len(), bits.as_u64());
-        self.probability_of(&x)
+        self.probabilities_batch(&[bits])[0]
     }
 
-    /// Batched probabilities sharing the `U_C^dag` Pauli-conjugation
-    /// prefix across the candidate set (see
-    /// [`ChForm::probabilities_batch_of`]); bit-identical to scalar
-    /// [`ChForm::probability_of`] calls.
+    /// One support test per candidate against a weight computed once
+    /// (see [`ChForm::probability_of`]); bit-identical to
+    /// `amplitude(x).norm_sqr()`.
     fn probabilities_batch(&self, candidates: &[BitString]) -> Vec<f64> {
-        let xs: Vec<BitVec> = candidates
-            .iter()
-            .map(|b| BitVec::from_u64(b.len(), b.as_u64()))
-            .collect();
-        self.probabilities_batch_of(&xs)
+        let n = ChForm::num_qubits(self);
+        assert!(
+            candidates.iter().all(|b| b.len() == n),
+            "bitstring width mismatch"
+        );
+        self.probabilities_of_words(candidates.iter().map(|b| [b.as_u64()]))
     }
 
     /// Exact stabilizer expectation via `U_C` conjugation

@@ -3,9 +3,10 @@
 //! the CH form (Sec. 4.1.2).
 //!
 //! The tableau has no amplitude access, but it can still answer
-//! bitstring-probability queries by *forced measurement*
-//! ([`CliffordTableau::basis_probability`]: each random-outcome qubit
-//! contributes a factor 1/2 and collapses toward the target bit), so it
+//! bitstring-probability queries as a *support test*
+//! ([`CliffordTableau::basis_probability`]: one row reduction of the
+//! stabilizer group per call gives the uniform weight `0.5^k` and the
+//! Z-only generators a supported bitstring must satisfy), so it
 //! doubles as a full [`bgls_core::BglsState`] backend — one that, unlike
 //! the CH form, also supports projective collapse
 //! ([`CliffordTableau::project`]) and therefore mid-circuit-measurement
@@ -26,12 +27,9 @@ use std::f64::consts::PI;
 #[derive(Clone, Debug)]
 pub struct CliffordTableau {
     n: usize,
-    x: BitMatrix, // (2n+1) x n would be ragged; store 2n rows + scratch separately
+    x: BitMatrix, // 2n rows in a (2n)x(2n) matrix; columns past n stay zero
     z: BitMatrix,
     r: BitVec,
-    scratch_x: BitVec,
-    scratch_z: BitVec,
-    scratch_r: u8, // phase exponent mod 4 during row accumulation
 }
 
 impl CliffordTableau {
@@ -51,9 +49,6 @@ impl CliffordTableau {
             x,
             z,
             r: BitVec::zeros(rows.max(1)),
-            scratch_x: BitVec::zeros(rows.max(1)),
-            scratch_z: BitVec::zeros(rows.max(1)),
-            scratch_r: 0,
         }
     }
 
@@ -122,59 +117,22 @@ impl CliffordTableau {
         Ok(())
     }
 
-    /// Phase-function exponent g((x1,z1),(x2,z2)) from the CHP paper: the
-    /// power of i acquired when multiplying the two single-qubit Paulis.
-    #[inline]
-    fn g(x1: bool, z1: bool, x2: bool, z2: bool) -> i8 {
-        match (x1, z1) {
-            (false, false) => 0,
-            (true, true) => (z2 as i8) - (x2 as i8),
-            (true, false) => (z2 as i8) * (2 * (x2 as i8) - 1),
-            (false, true) => (x2 as i8) * (1 - 2 * (z2 as i8)),
-        }
-    }
-
     /// Multiplies row `i` into row `h` (`row_h <- row_i * row_h`).
     fn rowsum(&mut self, h: usize, i: usize) {
-        let mut phase: i32 = 2 * (self.r.get(h) as i32) + 2 * (self.r.get(i) as i32);
-        for j in 0..self.n {
-            phase += Self::g(
-                self.x.get(i, j),
-                self.z.get(i, j),
-                self.x.get(h, j),
-                self.z.get(h, j),
-            ) as i32;
-        }
+        let phase = 2 * (self.r.get(h) as i32)
+            + 2 * (self.r.get(i) as i32)
+            + product_phase(
+                self.x.row(i).words(),
+                self.z.row(i).words(),
+                self.x.row(h).words(),
+                self.z.row(h).words(),
+            );
         // For stabilizer rows the total phase is always real (0 or 2 mod 4).
         // Destabilizer rows may accumulate odd phases — CHP never reads
         // their sign, so collapsing to the high bit is safe.
         self.r.set(h, phase.rem_euclid(4) >= 2);
-        let xi = self.x.row(i).clone();
-        self.x.xor_into_row(h, &xi);
-        let zi = self.z.row(i).clone();
-        self.z.xor_into_row(h, &zi);
-    }
-
-    /// Multiplies row `i` into the scratch row.
-    fn rowsum_scratch(&mut self, i: usize) {
-        let mut phase: i32 = (self.scratch_r as i32) + 2 * (self.r.get(i) as i32);
-        for j in 0..self.n {
-            phase += Self::g(
-                self.x.get(i, j),
-                self.z.get(i, j),
-                self.scratch_x.get(j),
-                self.scratch_z.get(j),
-            ) as i32;
-        }
-        self.scratch_r = phase.rem_euclid(4) as u8;
-        for j in 0..self.n {
-            if self.x.get(i, j) {
-                self.scratch_x.flip(j);
-            }
-            if self.z.get(i, j) {
-                self.scratch_z.flip(j);
-            }
-        }
+        self.x.xor_row(h, i);
+        self.z.xor_row(h, i);
     }
 
     /// Index of a stabilizer row anticommuting with `Z_a`, if any — the
@@ -210,20 +168,13 @@ impl CliffordTableau {
     }
 
     /// The deterministic measurement outcome of qubit `a` — only valid
-    /// when no stabilizer anticommutes with `Z_a`. Accumulates the
-    /// destabilizer-indicated stabilizers in the scratch row.
-    fn deterministic_outcome(&mut self, a: usize) -> bool {
-        let n = self.n;
-        self.scratch_x = BitVec::zeros(self.x.n());
-        self.scratch_z = BitVec::zeros(self.z.n());
-        self.scratch_r = 0;
-        for i in 0..n {
-            if self.x.get(i, a) {
-                self.rowsum_scratch(i + n);
-            }
-        }
-        debug_assert_eq!(self.scratch_r % 2, 0);
-        self.scratch_r.rem_euclid(4) == 2
+    /// when no stabilizer anticommutes with `Z_a`: the sign with which
+    /// `Z_a` lies in the stabilizer group.
+    fn deterministic_outcome(&self, a: usize) -> bool {
+        let mut z = BitVec::zeros(self.z.n());
+        z.set(a, true);
+        self.stabilizer_sign(&BitVec::zeros(self.x.n()), &z)
+            .expect("Z_a commutes with every stabilizer")
     }
 
     /// Measures qubit `a` in the computational basis, collapsing the state.
@@ -259,41 +210,91 @@ impl CliffordTableau {
         }
     }
 
-    /// `|<bits|psi>|^2` by forced sequential measurement on a scratch
-    /// clone: each qubit whose outcome is random contributes a factor
-    /// `1/2` and is collapsed to the target bit; a deterministic qubit
-    /// contradicting the target makes the whole amplitude zero. Runs in
-    /// `O(n^3)` bit-operations worst case — asymptotically worse than
-    /// the CH form's `O(n^2)` amplitude, but it turns the tableau into a
-    /// full gate-by-gate (BGLS) backend rather than only a
-    /// collapse-measurement sampler.
+    /// `|<bits|psi>|^2` as a support test (see
+    /// `CliffordTableau::probabilities_of_words`).
     pub fn basis_probability(&self, bits: &BitString) -> f64 {
-        let mut t = self.clone();
-        let mut p = 1.0;
-        for q in 0..self.n {
-            let target = bits.get(q);
-            match t.anticommuting_stabilizer(q) {
-                Some(row) => {
-                    p *= 0.5;
-                    t.collapse(q, row, target);
-                }
-                None => {
-                    if t.deterministic_outcome(q) != target {
-                        return 0.0;
+        assert_eq!(bits.len(), self.n, "bitstring width mismatch");
+        self.probabilities_of_words([[bits.as_u64()]])[0]
+    }
+
+    /// `|<x|psi>|^2` for bitstrings given as little-endian `u64` words
+    /// (bit `q` is bit `q % 64` of word `q / 64`). A stabilizer state is
+    /// uniform over an affine subspace of basis states: row-reducing the
+    /// X part of the generators (`O(n^3 / 64)`, once per call) gives its
+    /// dimension, the X-rank `k`, and leaves `n - k` generators
+    /// `(-1)^r Z^z`. `x` is in the support iff `parity(z & x) == r` for
+    /// each (`O(n^2 / 64)`), and then has probability `0.5^k`, the same
+    /// product of halves a forced sequential measurement multiplies up.
+    fn probabilities_of_words<W: AsRef<[u64]>>(&self, xs: impl IntoIterator<Item = W>) -> Vec<f64> {
+        let n = self.n;
+        // Stabilizer rows as `[x words | z words]`, `w` words each half:
+        // columns past `n` are always zero, so the first `w` words of a
+        // (2n-bit) tableau row hold the whole Pauli.
+        let w = n.div_ceil(64);
+        let stride = 2 * w;
+        let mut rows: Vec<u64> = (n..2 * n)
+            .flat_map(|i| {
+                self.x.row(i).words()[..w]
+                    .iter()
+                    .chain(&self.z.row(i).words()[..w])
+            })
+            .copied()
+            .collect();
+        let mut signs: Vec<bool> = (n..2 * n).map(|i| self.r.get(i)).collect();
+        // Row-echelon form in the X part; rows `k..n` end up Z-only.
+        let mut k = 0;
+        for col in 0..n {
+            let has_x = |row: &[u64]| (row[col / 64] >> (col % 64)) & 1 == 1;
+            let Some(pivot) = (k..n).find(|&i| has_x(&rows[i * stride..])) else {
+                continue;
+            };
+            for j in 0..stride {
+                rows.swap(k * stride + j, pivot * stride + j);
+            }
+            signs.swap(k, pivot);
+            let (head, tail) = rows.split_at_mut((k + 1) * stride);
+            let (px, pz) = head[k * stride..].split_at(w);
+            let pivot_sign = signs[k];
+            for (row, sign) in tail.chunks_exact_mut(stride).zip(&mut signs[k + 1..]) {
+                if has_x(row) {
+                    let (hx, hz) = row.split_at(w);
+                    let phase =
+                        2 * (pivot_sign as i32 + *sign as i32) + product_phase(px, pz, hx, hz);
+                    // commuting stabilizers multiply to a real sign
+                    debug_assert_eq!(phase.rem_euclid(2), 0);
+                    *sign = phase.rem_euclid(4) == 2;
+                    for (h, p) in row.iter_mut().zip(px.iter().chain(pz)) {
+                        *h ^= p;
                     }
                 }
             }
+            k += 1;
         }
-        p
+        let weight = 0.5f64.powi(k as i32);
+        xs.into_iter()
+            .map(|x| {
+                let supported = (k..n).all(|i| {
+                    let z = &rows[i * stride + w..(i + 1) * stride];
+                    let parity = z
+                        .iter()
+                        .zip(x.as_ref())
+                        .fold(0, |acc, (a, b)| acc ^ (a & b));
+                    (parity.count_ones() & 1 == 1) == signs[i]
+                });
+                if supported {
+                    weight
+                } else {
+                    0.0
+                }
+            })
+            .collect()
     }
 
     /// Exact stabilizer expectation `<psi|P|psi>` of a Pauli string via
     /// the stabilizer group, without amplitude access: `P` anticommutes
     /// with some stabilizer generator (expectation `0`), or it equals a
-    /// product of generators up to sign (expectation `+-1`). The product
-    /// is reconstructed from the destabilizer rows — generator `i`
-    /// participates exactly when `P` anticommutes with destabilizer `i`
-    /// — and its sign accumulated with the CHP phase function.
+    /// product of generators up to sign (expectation `+-1`; see
+    /// `stabilizer_sign`).
     pub fn pauli_expectation(
         &self,
         observable: &bgls_circuit::PauliString,
@@ -301,47 +302,55 @@ impl CliffordTableau {
         if let Some(q) = observable.max_qubit() {
             self.check(q)?;
         }
-        let n = self.n;
-        let width = self.x.n();
         // P in row convention: per-qubit (x, z) bits, Y = (1, 1) with the
         // phase absorbed (the same convention tableau rows use).
-        let mut px = BitVec::zeros(width);
-        let mut pz = BitVec::zeros(width);
+        let mut px = BitVec::zeros(self.x.n());
+        let mut pz = BitVec::zeros(self.z.n());
         for (q, op) in observable.iter() {
             let (xb, zb) = op.xz_bits();
             px.set(q, xb);
             pz.set(q, zb);
         }
+        Ok(match self.stabilizer_sign(&px, &pz) {
+            None => 0.0,
+            Some(false) => 1.0,
+            Some(true) => -1.0,
+        })
+    }
+
+    /// The sign with which the Pauli `X^px Z^pz` (row convention) lies in
+    /// the stabilizer group: `None` when it anticommutes with some
+    /// generator, `Some(true)` when the group holds `-P`. The product
+    /// is reconstructed from the destabilizer rows — generator `i`
+    /// participates exactly when `P` anticommutes with destabilizer `i`
+    /// — and its sign accumulated with the CHP phase function.
+    fn stabilizer_sign(&self, px: &BitVec, pz: &BitVec) -> Option<bool> {
+        let n = self.n;
         // Symplectic anticommutation test of P against row i.
         let anticommutes = |i: usize| -> bool { px.dot(self.z.row(i)) ^ pz.dot(self.x.row(i)) };
         if (n..2 * n).any(&anticommutes) {
-            return Ok(0.0);
+            return None;
         }
-        // P commutes with every stabilizer, so it is +-(product of the
-        // generators flagged by the destabilizers). Accumulate that
-        // product's sign exactly as rowsum does.
-        let mut ax = BitVec::zeros(width);
-        let mut az = BitVec::zeros(width);
+        let mut ax = BitVec::zeros(px.len());
+        let mut az = BitVec::zeros(pz.len());
         let mut phase: i32 = 0;
-        for i in 0..n {
-            if !anticommutes(i) {
-                continue;
-            }
-            let row = n + i;
-            phase += 2 * (self.r.get(row) as i32);
-            for j in 0..n {
-                phase +=
-                    Self::g(self.x.get(row, j), self.z.get(row, j), ax.get(j), az.get(j)) as i32;
-            }
+        for row in (0..n).filter(|&i| anticommutes(i)).map(|i| n + i) {
+            phase += 2 * (self.r.get(row) as i32)
+                + product_phase(
+                    self.x.row(row).words(),
+                    self.z.row(row).words(),
+                    ax.words(),
+                    az.words(),
+                );
             ax.xor_assign(self.x.row(row));
             az.xor_assign(self.z.row(row));
         }
         debug_assert!(
-            ax == px && az == pz,
+            ax == *px && az == *pz,
             "commuting Pauli must lie in the +- stabilizer group"
         );
         debug_assert_eq!(phase.rem_euclid(2), 0, "stabilizer sign must be real");
-        Ok(if phase.rem_euclid(4) == 0 { 1.0 } else { -1.0 })
+        Some(phase.rem_euclid(4) == 2)
     }
 
     /// Applies a Clifford gate (same acceptance set as the CH form).
@@ -463,8 +472,9 @@ impl CliffordTableau {
 /// (trait default) — noisy circuits belong on the density matrix or a
 /// trajectory-capable amplitude backend.
 ///
-/// Compared to the CH form this trades `O(n^2)` amplitudes for `O(n^3)`
-/// ones, but gains projection — so mid-circuit-measurement Clifford
+/// Compared to the CH form each probability call pays an `O(n^3 / 64)`
+/// row reduction before its `O(n^2 / 64)` per-candidate tests, but the
+/// tableau gains projection — so mid-circuit-measurement Clifford
 /// circuits (QEC syndrome extraction et al.) run on the forest engine
 /// and the exact expectation walk, both of which the CH form rejects.
 impl bgls_core::BglsState for CliffordTableau {
@@ -480,6 +490,14 @@ impl bgls_core::BglsState for CliffordTableau {
         self.basis_probability(&bits)
     }
 
+    fn probabilities_batch(&self, candidates: &[BitString]) -> Vec<f64> {
+        assert!(
+            candidates.iter().all(|b| b.len() == self.n),
+            "bitstring width mismatch"
+        );
+        self.probabilities_of_words(candidates.iter().map(|b| [b.as_u64()]))
+    }
+
     fn project(&mut self, qubit: usize, value: bool) -> Result<(), SimError> {
         CliffordTableau::project(self, qubit, value)
     }
@@ -487,6 +505,21 @@ impl bgls_core::BglsState for CliffordTableau {
     fn expectation(&self, observable: &bgls_circuit::PauliString) -> Result<f64, SimError> {
         self.pauli_expectation(observable)
     }
+}
+
+/// The power of `i` picked up when multiplying the Pauli row `(x1, z1)`
+/// into the row `(x2, z2)`: the CHP phase function `g` summed over
+/// qubits, 64 at a time. Per qubit, `g` is `+1` or `-1` exactly in the
+/// cases of the `plus` and `minus` masks, by the `(x1, z1)` case of
+/// the CHP table.
+fn product_phase(x1: &[u64], z1: &[u64], x2: &[u64], z2: &[u64]) -> i32 {
+    let mut phase = 0;
+    for (((&a, &b), &c), &d) in x1.iter().zip(z1).zip(x2).zip(z2) {
+        let plus = (a & b & !c & d) | (a & !b & c & d) | (!a & b & c & !d);
+        let minus = (a & b & c & !d) | (a & !b & !c & d) | (!a & b & c & d);
+        phase += plus.count_ones() as i32 - minus.count_ones() as i32;
+    }
+    phase
 }
 
 /// Conventional Clifford-circuit sampler over the tableau: evolve once per
@@ -722,10 +755,112 @@ mod tests {
     }
 
     #[test]
+    fn product_phase_matches_chp_table() {
+        // the CHP phase function g(x1, z1, x2, z2), one qubit at a time
+        let g = |x1: u64, z1: u64, x2: u64, z2: u64| -> i32 {
+            let (x2, z2) = (x2 as i32, z2 as i32);
+            match (x1, z1) {
+                (0, 0) => 0,
+                (1, 1) => z2 - x2,
+                (1, 0) => z2 * (2 * x2 - 1),
+                _ => x2 * (1 - 2 * z2),
+            }
+        };
+        let bit = |case: u64, k: u64| (case >> k) & 1;
+        let mut total = 0;
+        for case in 0..16 {
+            let (x1, z1, x2, z2) = (bit(case, 0), bit(case, 1), bit(case, 2), bit(case, 3));
+            let want = g(x1, z1, x2, z2);
+            assert_eq!(
+                product_phase(&[x1], &[z1], &[x2], &[z2]),
+                want,
+                "case {case:04b}"
+            );
+            total += want;
+        }
+        // all 16 cases side by side in one word, then in a second word
+        let packed = |k: u64| (0..16).fold(0u64, |acc, case| acc | bit(case, k) << case);
+        let [x1, z1, x2, z2] = [0, 1, 2, 3].map(packed);
+        assert_eq!(product_phase(&[x1], &[z1], &[x2], &[z2]), total);
+        let two = |w: u64| [0, w << 7];
+        assert_eq!(product_phase(&two(x1), &two(z1), &two(x2), &two(z2)), total);
+    }
+
+    /// The forced-measurement probability the support test replaces:
+    /// collapse a clone qubit by qubit, a factor 1/2 per random outcome,
+    /// zero on a contradicted deterministic one.
+    fn collapse_probability(t: &CliffordTableau, bits: &BitString) -> f64 {
+        let mut t = t.clone();
+        let mut p = 1.0;
+        for q in 0..t.n {
+            if t.anticommuting_stabilizer(q).is_some() {
+                p *= 0.5;
+            }
+            if t.project(q, bits.get(q)).is_err() {
+                return 0.0;
+            }
+        }
+        p
+    }
+
+    /// Batched and scalar tableau probabilities agree bit for bit with
+    /// each other and with [`collapse_probability`], and with `want`
+    /// (a CH-form or dense reference) to 1e-10 with the same support.
+    fn assert_tableau_probabilities(
+        t: &CliffordTableau,
+        cands: &[BitString],
+        want: impl Fn(BitString) -> f64,
+        context: &str,
+    ) {
+        use bgls_core::BglsState as _;
+        let batched = t.probabilities_batch(cands);
+        assert_eq!(batched.len(), cands.len());
+        for (&b, &p) in cands.iter().zip(&batched) {
+            for got in [t.basis_probability(&b), collapse_probability(t, &b)] {
+                assert!(
+                    p.to_bits() == got.to_bits(),
+                    "{context}, {b}: batched {p} vs {got}"
+                );
+            }
+            let w = want(b);
+            assert!(
+                (p - w).abs() < 1e-10 && (p == 0.0) == (w.abs() < 1e-12),
+                "{context}, {b}: tableau {p} vs reference {w}"
+            );
+        }
+    }
+
+    fn all_bitstrings(n: usize) -> Vec<BitString> {
+        (0..1u64 << n).map(|v| BitString::from_u64(n, v)).collect()
+    }
+
+    fn dispatch_set_params(n: usize, moments: usize) -> bgls_circuit::RandomCircuitParams {
+        bgls_circuit::RandomCircuitParams {
+            qubits: n,
+            moments,
+            op_density: 1.0,
+            gate_set: vec![
+                Gate::H,
+                Gate::S,
+                Gate::Sdg,
+                Gate::X,
+                Gate::Y,
+                Gate::Z,
+                Gate::SqrtX,
+                Gate::Cnot,
+                Gate::Cz,
+                Gate::Swap,
+                Gate::ISwap,
+            ],
+        }
+    }
+
+    #[test]
     fn basis_probability_matches_chform_amplitudes() {
         use crate::ChForm;
         use bgls_circuit::{generate_random_circuit, RandomCircuitParams};
         use bgls_core::BglsState as _;
+        use bgls_statevector::StateVector;
 
         let n = 4;
         for seed in 0..8 {
@@ -746,6 +881,92 @@ mod tests {
                     "seed {seed}, {b}: tableau {pt} vs chform {pc}"
                 );
             }
+        }
+
+        // Every x after every gate of random Clifford circuits, n <= 10.
+        for n in 1..=10 {
+            let mut crng = StdRng::seed_from_u64(200 + n as u64);
+            let circuit = generate_random_circuit(&dispatch_set_params(n, 5), &mut crng);
+            let mut tab = CliffordTableau::zero(n);
+            let mut ch = ChForm::zero(n);
+            let all = all_bitstrings(n);
+            for (i, op) in circuit.all_operations().enumerate() {
+                let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+                tab.apply_gate(op.as_gate().unwrap(), &qs).unwrap();
+                ch.apply_gate(op.as_gate().unwrap(), &qs).unwrap();
+                let context = format!("n {n} gate {i}");
+                assert_tableau_probabilities(&tab, &all, |b| ch.probability(b), &context);
+            }
+        }
+
+        // States after projections, against a dense state projected alike.
+        for n in [3usize, 6, 8] {
+            let mut crng = StdRng::seed_from_u64(300 + n as u64);
+            let mut tab = CliffordTableau::zero(n);
+            let mut sv = StateVector::zero(n);
+            let all = all_bitstrings(n);
+            for round in 0..4 {
+                let circuit = generate_random_circuit(&dispatch_set_params(n, 3), &mut crng);
+                for op in circuit.all_operations() {
+                    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+                    tab.apply_gate(op.as_gate().unwrap(), &qs).unwrap();
+                    sv.apply_gate(op.as_gate().unwrap(), &qs).unwrap();
+                }
+                for q in [round % n, (3 * round + 1) % n] {
+                    let value = crng.gen::<bool>();
+                    let value = if tab.clone().project(q, value).is_ok() {
+                        value
+                    } else {
+                        !value
+                    };
+                    CliffordTableau::project(&mut tab, q, value).unwrap();
+                    sv.project(q, value).unwrap();
+                    let context = format!("n {n} round {round} projected q{q}");
+                    assert_tableau_probabilities(&tab, &all, |b| sv.probability(b), &context);
+                }
+            }
+        }
+
+        // Widths 33-64, where a tableau row spans two words: sampled
+        // outcomes (in the support) and single-bit flips of them.
+        for n in [33usize, 47, 64] {
+            let mut crng = StdRng::seed_from_u64(400 + n as u64);
+            let circuit = generate_random_circuit(&dispatch_set_params(n, 6), &mut crng);
+            let mut tab = tableau_from_circuit(&circuit, n).unwrap();
+            let mut ch = ChForm::zero(n);
+            for op in circuit.all_operations() {
+                let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
+                ch.apply_gate(op.as_gate().unwrap(), &qs).unwrap();
+            }
+            let sample = |t: &CliffordTableau, rng: &mut StdRng| -> Vec<BitString> {
+                let mut out = Vec::new();
+                for _ in 0..4 {
+                    let mut m = t.clone();
+                    let mut b = BitString::zeros(n);
+                    for q in 0..n {
+                        b.set(q, m.measure(q, rng).unwrap());
+                    }
+                    out.push(b);
+                    for q in [0, n / 2, n - 1] {
+                        let mut f = b;
+                        f.set(q, !b.get(q));
+                        out.push(f);
+                    }
+                }
+                out
+            };
+            let cands = sample(&tab, &mut crng);
+            let context = format!("n {n}");
+            assert_tableau_probabilities(&tab, &cands, |b| ch.probability(b), &context);
+            // after projections the CH form no longer applies, so check
+            // the support against the collapse reference alone
+            for q in [0, n - 1] {
+                let value = tab.clone().project(q, true).is_ok();
+                CliffordTableau::project(&mut tab, q, value).unwrap();
+            }
+            let cands = sample(&tab, &mut crng);
+            let collapse = |b: BitString| collapse_probability(&tab, &b);
+            assert_tableau_probabilities(&tab, &cands, collapse, &format!("n {n} projected"));
         }
     }
 

@@ -4,7 +4,10 @@
 //! across Rayon threads, a noisy trajectory-forest run, and the paper's
 //! three-hook constructor (`Simulator::with_hooks`), and last a noisy
 //! circuit on the density matrix, whose exact channels keep it on the
-//! sample-parallel multiplicity-map path. Diff the output
+//! sample-parallel multiplicity-map path, then the two stabilizer
+//! backends: a 20-qubit Clifford circuit on the CH form (sample-parallel
+//! path) and a 16-qubit mid-circuit-measured one on the tableau (forest
+//! path). Diff the output
 //! across revisions (or across `RAYON_NUM_THREADS` settings) to check
 //! that a change left seeded sampling behaviour bit-identical:
 //!
@@ -17,9 +20,11 @@
 //! ```
 
 use bgls_apps::{brickwork_circuit, random_u2_brickwork};
+use bgls_circuit::{generate_random_circuit, RandomCircuitParams};
 use bgls_circuit::{Channel, Circuit, Gate, Operation, Qubit};
 use bgls_core::{default_apply_op, BglsState, BitString, Histogram, Simulator};
 use bgls_mps::{ChainMps, LazyNetworkState, MpsOptions};
+use bgls_stabilizer::{ChForm, CliffordTableau};
 use bgls_statevector::{DensityMatrix, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,6 +95,29 @@ fn noisy_density_circuit() -> Circuit {
     c
 }
 
+/// A 20-qubit random Clifford circuit with a full readout.
+fn clifford_circuit() -> Circuit {
+    let mut rng = StdRng::seed_from_u64(10);
+    let mut c = generate_random_circuit(&RandomCircuitParams::clifford(20, 12), &mut rng);
+    c.push(Operation::measure(Qubit::range(20), "m").unwrap());
+    c
+}
+
+/// A 16-qubit Clifford circuit that measures qubit 0, reuses it, and
+/// reads every qubit out at the end.
+fn midcircuit_clifford_circuit() -> Circuit {
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut c = generate_random_circuit(&RandomCircuitParams::clifford(16, 3), &mut rng);
+    c.push(Operation::measure(vec![Qubit(0)], "early").unwrap());
+    c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
+    c.extend_circuit(&generate_random_circuit(
+        &RandomCircuitParams::clifford(16, 8),
+        &mut rng,
+    ));
+    c.push(Operation::measure(Qubit::range(16), "fin").unwrap());
+    c
+}
+
 fn main() {
     let mut rng = StdRng::seed_from_u64(32);
     let chain_circuit = random_u2_brickwork(20, 8, &mut rng);
@@ -133,4 +161,13 @@ fn main() {
     let sim = Simulator::new(DensityMatrix::zero(8)).with_seed(5);
     let result = sim.run(&noisy_density_circuit(), 4000).unwrap();
     print_histogram("density", result.histogram("m").unwrap());
+
+    let sim = Simulator::new(ChForm::zero(20)).with_seed(6);
+    let result = sim.run(&clifford_circuit(), 400).unwrap();
+    print_histogram("chform", result.histogram("m").unwrap());
+
+    let sim = Simulator::new(CliffordTableau::zero(16)).with_seed(7);
+    let result = sim.run(&midcircuit_clifford_circuit(), 300).unwrap();
+    print_histogram("tableau_mid", result.histogram("early").unwrap());
+    print_histogram("tableau_fin", result.histogram("fin").unwrap());
 }

@@ -9,6 +9,13 @@
 //! `max_bond` and accumulating the discarded weight. Bitstring amplitudes
 //! cost `O(n chi^2)` — the `f(n, d)` that makes wide, lowly-entangled
 //! circuits cheap (Fig. 7).
+//!
+//! Candidate amplitudes are split at the last-touched site `s`:
+//! `<x|psi> = L(x) . R(x)`, with `L` contracting sites `[0, s)` left to
+//! right and `R` contracting sites `[s, n)` right to left, each shared
+//! across the candidate list by a prefix [`Trie`]. Gate-by-gate sampling
+//! only varies the bits on the op just applied, whose sites sit on either
+//! side of `s`, so a candidate set contracts the rest of the chain once.
 
 use bgls_circuit::{Channel, Gate, PauliString};
 use bgls_core::{AmplitudeState, BglsState, BitString, SimError};
@@ -16,8 +23,10 @@ use bgls_linalg::{gemm, svd_slice, Matrix, C64};
 use rand::{Rng, RngCore};
 use std::cell::RefCell;
 
+use crate::trie::Trie;
+
 /// Reusable buffers for the two-site split, the transfer-matrix norm,
-/// and the batched amplitude sweep. Thread-local so `ChainMps` values
+/// and the split amplitude sweep. Thread-local so `ChainMps` values
 /// stay plain data (`Clone + Send + Sync`) while per-gate allocations
 /// are amortized away — the same buffer-reuse discipline PR 3 applied
 /// to replay states via `clone_from`.
@@ -37,9 +46,15 @@ struct ChainScratch {
     conj_slice: Vec<C64>,
     /// One-qubit gate application buffer.
     buf_1q: Vec<C64>,
-    /// Batched-sweep environment rows (`branches x dim`).
-    env: Vec<C64>,
-    /// Batched-sweep next environment rows.
+    /// Prefix trie of the left sweep (sites `[0, s)`).
+    left: Trie,
+    /// Suffix trie of the right sweep (sites `[s, n)`, descending).
+    right: Trie,
+    /// Left environment rows (`rows x bond`).
+    env_l: Vec<C64>,
+    /// Right environment rows (`rows x bond`).
+    env_r: Vec<C64>,
+    /// Next environment rows of either sweep.
     env_next: Vec<C64>,
 }
 
@@ -89,9 +104,36 @@ struct Site {
 }
 
 impl Site {
-    #[inline]
-    fn at(&self, l: usize, p: usize, r: usize) -> C64 {
-        self.data[(l * 2 + p) * self.r + r]
+    /// One split-sweep step through this site's `bit` slice: child row
+    /// `j` of `out` is `sum_a env[parents[j], a] * A(a, b)`, with `a` the
+    /// left bond and `b` the right bond when `rightward`, the reverse
+    /// otherwise. One gather-GEMM over all rows.
+    fn advance(
+        &self,
+        bit: usize,
+        rightward: bool,
+        parents: &[usize],
+        env: &[C64],
+        out: &mut [C64],
+    ) {
+        let (l, r) = (self.l, self.r);
+        // (dimension, stride in `data`) of the contracted and free bonds
+        let ((din, s_in), (dout, s_out)) = if rightward {
+            ((l, 2 * r), (r, 1))
+        } else {
+            ((r, 1), (l, 2 * r))
+        };
+        gemm::with_scratch(|g| {
+            g.moff.clear();
+            g.moff.extend(parents.iter().map(|&p| p * din));
+            g.a_koff.clear();
+            g.a_koff.extend(0..din);
+            g.b_koff.clear();
+            g.b_koff.extend((0..din).map(|a| bit * r + a * s_in));
+            g.noff.clear();
+            g.noff.extend((0..dout).map(|b| b * s_out));
+            gemm::matmul_gather_into(out, parents.len(), din, dout, env, &self.data, g);
+        });
     }
 }
 
@@ -104,6 +146,9 @@ pub struct ChainMps {
     options: MpsOptions,
     truncation_weight: f64,
     n: usize,
+    /// Split site of the amplitude sweep: the site of the last 1q update,
+    /// or the right site of the last two-site update.
+    split: usize,
 }
 
 impl ChainMps {
@@ -127,6 +172,7 @@ impl ChainMps {
             options,
             truncation_weight: 0.0,
             n,
+            split: 0,
         }
     }
 
@@ -148,6 +194,7 @@ impl ChainMps {
 
     fn apply_1q_matrix(&mut self, u: &Matrix, q: usize) {
         let i = self.site_of_qubit[q];
+        self.split = i;
         let site = &mut self.sites[i];
         let (l, r) = (site.l, site.r);
         SCRATCH.with(|cell| {
@@ -209,6 +256,7 @@ impl ChainMps {
             (d, err)
         });
         self.truncation_weight += err;
+        self.split = i + 1;
         let chi = d.s.len();
         let mut na_data = std::mem::take(&mut self.sites[i].data);
         na_data.clear();
@@ -293,130 +341,78 @@ impl ChainMps {
         }
     }
 
-    /// One step of the amplitude sweep: contracts the left environment
-    /// row vector `v` with site `i`'s tensor sliced at physical value
-    /// `bit`. Both the scalar and batched amplitude paths are built from
-    /// this exact routine, so they perform identical floating-point
-    /// operations.
-    fn sweep_step(&self, i: usize, bit: usize, v: &[C64]) -> Vec<C64> {
-        let site = &self.sites[i];
-        let mut next = vec![C64::ZERO; site.r];
-        for (li, &vl) in v.iter().enumerate() {
-            if vl == C64::ZERO {
-                continue;
-            }
-            for (ri, slot) in next.iter_mut().enumerate() {
-                *slot = vl.mul_add(site.at(li, bit, ri), *slot);
-            }
-        }
-        next
-    }
-
-    /// Amplitude `<bits|psi>` in `O(n chi^2)` by sweeping the chain.
+    /// Amplitude `<bits|psi>` in `O(n chi^2)` by the split sweep.
     pub fn amplitude_of(&self, bits: BitString) -> C64 {
-        assert_eq!(bits.len(), self.n);
-        let mut v = vec![C64::ONE];
-        for i in 0..self.sites.len() {
-            let bit = bits.get(self.qubit_of_site[i]) as usize;
-            v = self.sweep_step(i, bit, &v);
-        }
-        debug_assert_eq!(v.len(), 1);
-        v[0]
+        let mut amp = C64::ZERO;
+        self.split_amplitudes(&[bits], |_, a| amp = a);
+        amp
     }
 
-    /// Batched amplitude sweep sharing environments across candidates:
-    /// descends the chain level-synchronously, forking a branch's left
-    /// environment only at sites where its candidate set disagrees on
-    /// the physical bit. For the sampler's candidate sets (all `2^k`
-    /// assignments of a small support) each shared chain prefix is
-    /// contracted once instead of `2^k` times, and every site advances
-    /// *all* branch environments with at most two gather-GEMMs (one per
-    /// physical bit value) on the blocked kernels — a
-    /// `(branches x chi)(chi x chi)`-shaped workload instead of one
-    /// strided axpy per branch.
+    /// Amplitudes of every candidate as `L(x) . R(x)` split at site `s`
+    /// (`self.split`), passed to `emit(candidate index, amplitude)`.
     ///
-    /// Every environment element folds the same `sum_l v[l] * A[l,b,r]`
-    /// terms in the same ascending order as [`ChainMps::sweep_step`], so
-    /// the returned probabilities are bit-identical to per-candidate
-    /// [`ChainMps::amplitude_of`] calls (the GEMM multiplies structural
-    /// zeros the scalar sweep skips, which can flip the sign of an
-    /// exact-zero component but never survives `norm_sqr`).
-    fn amplitudes_shared_sweep(&self, candidates: &[BitString], out: &mut [f64]) {
+    /// The left sweep descends sites `0..s`, the right sweep sites
+    /// `n-1..=s`, each on its own [`Trie`]: a level advances every row
+    /// with at most two gather-GEMMs (one per physical bit value), so a
+    /// chain stretch the candidates agree on is contracted once for the
+    /// whole list. Each candidate then closes with one length-`chi` dot
+    /// product of its left and right rows.
+    ///
+    /// A row's entries fold their terms in the same ascending order
+    /// whatever other rows share the GEMM (the blocked kernels'
+    /// determinism contract), and `s` belongs to the state, so every
+    /// candidate's amplitude is a pure function of `(state, x)`: a batch
+    /// of any composition reproduces the single-candidate result bit for
+    /// bit. (The GEMM may multiply structural zeros a one-row fold
+    /// skips, which can flip the sign of an exact-zero component but
+    /// never survives `norm_sqr`.)
+    fn split_amplitudes(&self, candidates: &[BitString], mut emit: impl FnMut(usize, C64)) {
+        for c in candidates {
+            assert_eq!(c.len(), self.n);
+        }
+        if candidates.is_empty() {
+            return;
+        }
+        let s = self.split;
+        debug_assert!(s < self.n);
         SCRATCH.with(|cell| {
             let sc = &mut *cell.borrow_mut();
-            let mut env = std::mem::take(&mut sc.env);
-            let mut next = std::mem::take(&mut sc.env_next);
-            env.clear();
-            env.push(C64::ONE);
-            let mut dim = 1usize;
-            // Branch `b` owns environment row `env[b*dim..(b+1)*dim]`
-            // and the candidate indices `branches[b]`.
-            let mut branches: Vec<Vec<usize>> = vec![(0..candidates.len()).collect()];
-            for i in 0..self.sites.len() {
-                let site = &self.sites[i];
-                let (l, r) = (site.l, site.r);
-                debug_assert_eq!(l, dim);
-                let q = self.qubit_of_site[i];
-                // Plan this level: (parent row, bit) per output branch,
-                // grouped by bit so each group is one batched GEMM.
-                let mut plan: [(Vec<usize>, Vec<Vec<usize>>); 2] = Default::default();
-                for (b, idxs) in branches.drain(..).enumerate() {
-                    let first = candidates[idxs[0]].get(q);
-                    if idxs.iter().all(|&c| candidates[c].get(q) == first) {
-                        plan[first as usize].0.push(b);
-                        plan[first as usize].1.push(idxs);
-                    } else {
-                        let (ones, zeros): (Vec<usize>, Vec<usize>) =
-                            idxs.into_iter().partition(|&c| candidates[c].get(q));
-                        plan[0].0.push(b);
-                        plan[0].1.push(zeros);
-                        plan[1].0.push(b);
-                        plan[1].1.push(ones);
-                    }
-                }
-                let total = plan[0].0.len() + plan[1].0.len();
-                next.clear();
-                next.resize(total * r, C64::ZERO);
-                let mut row0 = 0usize;
-                for (bit, (parents, idx_groups)) in plan.iter_mut().enumerate() {
-                    let rows = parents.len();
-                    if rows == 0 {
-                        continue;
-                    }
-                    gemm::with_scratch(|g| {
-                        g.moff.clear();
-                        g.moff.extend(parents.iter().map(|&p| p * dim));
-                        g.a_koff.clear();
-                        g.a_koff.extend(0..dim);
-                        g.b_koff.clear();
-                        g.b_koff.extend((0..l).map(|li| (li * 2 + bit) * r));
-                        g.noff.clear();
-                        g.noff.extend(0..r);
-                        gemm::matmul_gather_into(
-                            &mut next[row0 * r..(row0 + rows) * r],
-                            rows,
-                            dim,
-                            r,
-                            &env,
-                            &site.data,
-                            g,
-                        );
-                    });
-                    branches.append(idx_groups);
-                    row0 += rows;
-                }
-                std::mem::swap(&mut env, &mut next);
-                dim = r;
+            let ChainScratch {
+                left,
+                right,
+                env_l,
+                env_r,
+                env_next,
+                ..
+            } = sc;
+            let levels = (0..s).map(|i| (i, self.qubit_of_site[i], self.sites[i].r));
+            left.sweep(
+                candidates,
+                levels,
+                env_l,
+                env_next,
+                |i, bit, parents, env, out| self.sites[i].advance(bit, true, parents, env, out),
+            );
+            let levels = (s..self.n)
+                .rev()
+                .map(|i| (i, self.qubit_of_site[i], self.sites[i].l));
+            right.sweep(
+                candidates,
+                levels,
+                env_r,
+                env_next,
+                |i, bit, parents, env, out| self.sites[i].advance(bit, false, parents, env, out),
+            );
+            let dim = self.sites[s].l;
+            for c in 0..candidates.len() {
+                let lv = &env_l[left.row(c) * dim..][..dim];
+                let rv = &env_r[right.row(c) * dim..][..dim];
+                let amp = lv
+                    .iter()
+                    .zip(rv)
+                    .fold(C64::ZERO, |acc, (&a, &b)| a.mul_add(b, acc));
+                emit(c, amp);
             }
-            debug_assert_eq!(dim, 1);
-            for (b, idxs) in branches.iter().enumerate() {
-                let p = env[b].norm_sqr();
-                for &c in idxs {
-                    out[c] = p;
-                }
-            }
-            sc.env = env;
-            sc.env_next = next;
         });
     }
 
@@ -560,9 +556,12 @@ impl ChainMps {
     /// Dense ket for verification (exponential).
     pub fn ket(&self) -> Vec<C64> {
         assert!(self.n <= 16, "ket() limited to 16 qubits");
-        (0..1u64 << self.n)
-            .map(|x| self.amplitude_of(BitString::from_u64(self.n, x)))
-            .collect()
+        let all: Vec<BitString> = (0..1u64 << self.n)
+            .map(|x| BitString::from_u64(self.n, x))
+            .collect();
+        let mut ket = vec![C64::ZERO; all.len()];
+        self.split_amplitudes(&all, |c, a| ket[c] = a);
+        ket
     }
 }
 
@@ -597,13 +596,8 @@ impl BglsState for ChainMps {
     }
 
     fn probabilities_batch(&self, candidates: &[BitString]) -> Vec<f64> {
-        for c in candidates {
-            assert_eq!(c.len(), self.n);
-        }
         let mut out = vec![0.0; candidates.len()];
-        if !candidates.is_empty() {
-            self.amplitudes_shared_sweep(candidates, &mut out);
-        }
+        self.split_amplitudes(candidates, |c, a| out[c] = a.norm_sqr());
         out
     }
 
@@ -907,6 +901,109 @@ mod tests {
                     p.to_bits() == scalar.to_bits(),
                     "batched {p} != scalar {scalar} for {c}"
                 );
+            }
+        }
+    }
+
+    /// Checks `st` right after an op on `support`: sampler-shaped sets
+    /// (one and several map entries) and a random set must agree as
+    /// `probabilities_batch == probability == |amplitude_of|^2` by
+    /// `to_bits()`, and with `sv` to 1e-10 when given.
+    fn check_split_sweep(
+        st: &ChainMps,
+        sv: Option<&bgls_statevector::StateVector>,
+        support: &[usize],
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let n = st.num_qubits();
+        let mut random = || BitString::from_u64(n, rng.gen::<u64>());
+        let sets: Vec<Vec<BitString>> = vec![
+            random().candidates(support),
+            (0..3).flat_map(|_| random().candidates(support)).collect(),
+            (0..9).map(|_| random()).collect(),
+        ];
+        for cands in sets {
+            let batched = st.probabilities_batch(&cands);
+            for (c, p) in cands.iter().zip(&batched) {
+                let scalar = st.probability(*c);
+                let amp = st.amplitude_of(*c).norm_sqr();
+                assert_eq!(
+                    p.to_bits(),
+                    scalar.to_bits(),
+                    "batch {p} vs scalar {scalar} at {c}"
+                );
+                assert_eq!(
+                    p.to_bits(),
+                    amp.to_bits(),
+                    "batch {p} vs amplitude {amp} at {c}"
+                );
+                if let Some(sv) = sv {
+                    let e = sv.probability(*c);
+                    assert!((p - e).abs() < 1e-10, "{c}: mps {p} vs statevector {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_sweep_is_bit_identical_and_exact_after_every_op() {
+        use bgls_statevector::StateVector;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // (seed, qubits, bond cap): two exact runs, one truncating
+        for (seed, n, chi) in [(11u64, 10, None), (12, 7, None), (13, 9, Some(2))] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut st = ChainMps::zero(
+                n,
+                MpsOptions {
+                    max_bond: chi,
+                    ..MpsOptions::exact()
+                },
+            );
+            let mut sv = StateVector::zero(n);
+            let mut splits = vec![false; n];
+            for step in 0..60 {
+                let support = if step % 13 == 12 {
+                    // project onto the likelier outcome
+                    let q = rng.gen_range(0..n);
+                    let z = st
+                        .pauli_expectation(&format!("Z{q}").parse().unwrap())
+                        .unwrap();
+                    let value = (1.0 - z) / 2.0 > 0.5;
+                    st.project(q, value).unwrap();
+                    sv.project(q, value).unwrap();
+                    vec![q]
+                } else {
+                    let qs = match step % 7 {
+                        // pin the split to both ends of the chain
+                        0 => vec![st.qubit_of_site[0]],
+                        3 => vec![st.qubit_of_site[n - 2], st.qubit_of_site[n - 1]],
+                        _ if rng.gen::<bool>() => vec![rng.gen_range(0..n)],
+                        _ => {
+                            let a = rng.gen_range(0..n);
+                            vec![a, (a + rng.gen_range(1..n)) % n]
+                        }
+                    };
+                    let theta = rng.gen::<f64>() * 3.0;
+                    let gate = match (qs.len(), rng.gen_range(0..3)) {
+                        (1, 0) => Gate::H,
+                        (1, 1) => Gate::SqrtX,
+                        (1, _) => Gate::Ry(theta.into()),
+                        (_, 0) => Gate::Cnot,
+                        (_, 1) => Gate::ISwap,
+                        _ => Gate::Rzz(theta.into()),
+                    };
+                    st.apply_gate(&gate, &qs).unwrap();
+                    sv.apply_gate(&gate, &qs).unwrap();
+                    qs
+                };
+                splits[st.split] = true;
+                let exact = chi.is_none().then_some(&sv);
+                check_split_sweep(&st, exact, &support, &mut rng);
+            }
+            assert!(splits[0] && splits[n - 1], "splits seen: {splits:?}");
+            if chi.is_some() {
+                assert!(st.truncation_weight() > 0.0);
             }
         }
     }

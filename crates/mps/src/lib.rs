@@ -9,11 +9,15 @@
 //! * [`ChainMps`] — a canonical chain MPS with chi-capped SVD truncation
 //!   ([`MpsOptions`]), swap-routing for long-range gates, and
 //!   `O(n chi^2)` amplitudes — the representation behind the QAOA
-//!   MaxCut experiment (Sec. 4.4);
+//!   MaxCut experiment (Sec. 4.4). A candidate set is split at the
+//!   last-touched site: its left and right environments are shared
+//!   through a prefix trie and each candidate closes with one
+//!   length-`chi` dot product;
 //! * [`PurifiedMps`] — a locally-purified chain for *mixed* states: each
 //!   site carries an extra Kraus leg, so channels apply deterministically
 //!   (no trajectory forking) at `O(n chi^3 kappa)` cost instead of the
-//!   density matrix's `4^n` memory ([`PurifiedOptions`]).
+//!   density matrix's `4^n` memory ([`PurifiedOptions`]). Probabilities
+//!   use the same split, with `chi x chi` environments.
 //!
 //! ```
 //! use bgls_circuit::Gate;
@@ -33,6 +37,7 @@ mod chain;
 mod lazy;
 mod purified;
 mod schmidt;
+mod trie;
 
 pub use chain::{ChainMps, MpsOptions};
 pub use lazy::LazyNetworkState;

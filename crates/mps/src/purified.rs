@@ -14,9 +14,10 @@
 //! This is the mixed-state analogue of [`crate::ChainMps`]: the same
 //! swap-routed two-site SVD evolution and transfer-matrix sweeps, with
 //! every environment contraction additionally tracing the Kraus legs.
-//! Probabilities are diagonal transfer sweeps (`Tr(rho |b><b|)`), Pauli
-//! expectations weave the operator into the doubled sweep
-//! (`Tr(rho P)`), and channels keep the sample-parallelized execution
+//! Probabilities are diagonal transfer sweeps (`Tr(rho |b><b|)`) split
+//! at the last-touched site, with both halves shared across a candidate
+//! list; Pauli expectations weave the operator into the doubled sweep
+//! (`Tr(rho P)`); and channels keep the sample-parallelized execution
 //! path because [`PurifiedMps::channels_are_deterministic`] is true —
 //! exactly like the density matrix, but at `O(n chi^3 kappa)` cost
 //! instead of `O(4^n)` memory.
@@ -26,6 +27,8 @@ use bgls_core::{BglsState, BitString, SimError};
 use bgls_linalg::{gemm, svd_slice, Matrix, C64};
 use rand::RngCore;
 use std::cell::RefCell;
+
+use crate::trie::Trie;
 
 /// Reusable buffers for the two-site split, Kraus-leg compression, and
 /// the transfer-matrix sweeps. Thread-local so [`PurifiedMps`] values
@@ -43,12 +46,23 @@ struct PurifiedScratch {
     rho: Vec<C64>,
     /// Next transfer-matrix environment.
     rho_next: Vec<C64>,
-    /// `M^T rho` intermediate (`r x l`).
+    /// `M^T rho` intermediate (`r x l`), and the split sweep's
+    /// half-contracted rows.
     tmat: Vec<C64>,
-    /// Conjugated (and operator-weighted) bra slice (`l x r`).
+    /// Conjugated (and operator-weighted) bra slice.
     conj_slice: Vec<C64>,
     /// One-qubit gate / channel-growth buffer.
     buf: Vec<C64>,
+    /// Prefix trie of the left probability sweep (sites `[0, s)`).
+    left: Trie,
+    /// Suffix trie of the right probability sweep (sites `[s, n)`).
+    right: Trie,
+    /// Left environments (`rows x dim x dim`).
+    env_l: Vec<C64>,
+    /// Right environments (`rows x dim x dim`).
+    env_r: Vec<C64>,
+    /// Next environments of either sweep.
+    env_next: Vec<C64>,
 }
 
 thread_local! {
@@ -117,6 +131,73 @@ impl PSite {
     fn idx(&self, l: usize, p: usize, k: usize, r: usize) -> usize {
         ((l * 2 + p) * self.k + k) * self.r + r
     }
+
+    /// One split-sweep step through this site's `bit` slice: child
+    /// environment `j` of `out` is
+    /// `E'[b, b'] = sum_{a, a', k} A(a, k, b) E[a, a'] conj(A(a', k, b'))`
+    /// with `E` the `parents[j]` environment of `env`, `a` the left bond
+    /// and `b` the right bond when `rightward`, the reverse otherwise.
+    /// Two gather-GEMMs over all rows, the Kraus index folded into their
+    /// free and shared axes; `tmat` and `conj_slice` are scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn advance(
+        &self,
+        bit: usize,
+        rightward: bool,
+        parents: &[usize],
+        env: &[C64],
+        out: &mut [C64],
+        tmat: &mut Vec<C64>,
+        conj_slice: &mut Vec<C64>,
+    ) {
+        let (l, k, r) = (self.l, self.k, self.r);
+        // (dimension, stride in `data`) of the contracted and free bonds
+        let ((din, s_in), (dout, s_out)) = if rightward {
+            ((l, 2 * k * r), (r, 1))
+        } else {
+            ((r, 1), (l, 2 * k * r))
+        };
+        let at = |a: usize, ki: usize, b: usize| bit * k * r + a * s_in + ki * r + b * s_out;
+        let (rows, kd) = (parents.len(), k * dout);
+        // U[(row, a'), (k, b)] = sum_a E_parent[a, a'] A(a, k, b)
+        tmat.clear();
+        tmat.resize(rows * din * kd, C64::ZERO);
+        gemm::with_scratch(|g| {
+            g.moff.clear();
+            g.moff.extend(
+                parents
+                    .iter()
+                    .flat_map(|&p| (0..din).map(move |a| p * din * din + a)),
+            );
+            g.a_koff.clear();
+            g.a_koff.extend((0..din).map(|a| a * din));
+            g.b_koff.clear();
+            g.b_koff.extend((0..din).map(|a| at(a, 0, 0)));
+            g.noff.clear();
+            g.noff
+                .extend((0..k).flat_map(|ki| (0..dout).map(move |b| ki * r + b * s_out)));
+            gemm::matmul_gather_into(tmat, rows * din, din, kd, env, &self.data, g);
+        });
+        // E'[(row, b), b'] = sum_{(a', k)} U[(row, a'), (k, b)] conj(A(a', k, b'))
+        conj_slice.clear();
+        for a in 0..din {
+            for ki in 0..k {
+                conj_slice.extend((0..dout).map(|b| self.data[at(a, ki, b)].conj()));
+            }
+        }
+        gemm::with_scratch(|g| {
+            g.moff.clear();
+            g.moff
+                .extend((0..rows).flat_map(|j| (0..dout).map(move |b| j * din * kd + b)));
+            g.a_koff.clear();
+            g.a_koff.extend((0..din * k).map(|t| t * dout));
+            g.b_koff.clear();
+            g.b_koff.extend((0..din * k).map(|t| t * dout));
+            g.noff.clear();
+            g.noff.extend(0..dout);
+            gemm::matmul_gather_into(out, rows * dout, din * k, dout, tmat, conj_slice, g);
+        });
+    }
 }
 
 /// Locally-purified chain MPS over `n` qubits with a tracked
@@ -130,6 +211,10 @@ pub struct PurifiedMps {
     options: PurifiedOptions,
     truncation_weight: f64,
     n: usize,
+    /// Split site of the probability sweep: the site of the last 1q
+    /// update or Kraus-leg growth, or the right site of the last
+    /// two-site update.
+    split: usize,
 }
 
 impl PurifiedMps {
@@ -157,6 +242,7 @@ impl PurifiedMps {
             options,
             truncation_weight: 0.0,
             n,
+            split: 0,
         }
     }
 
@@ -205,6 +291,7 @@ impl PurifiedMps {
 
     fn apply_1q_matrix(&mut self, u: &Matrix, q: usize) {
         let i = self.site_of_qubit[q];
+        self.split = i;
         let site = &mut self.sites[i];
         let (l, k, r) = (site.l, site.k, site.r);
         SCRATCH.with(|cell| {
@@ -260,6 +347,7 @@ impl PurifiedMps {
             (d, err)
         });
         self.truncation_weight += err;
+        self.split = i + 1;
         let chi = d.s.len();
         let mut na_data = std::mem::take(&mut self.sites[i].data);
         na_data.clear();
@@ -442,6 +530,7 @@ impl PurifiedMps {
     /// Grows site `i`'s Kraus leg by the channel's operator count:
     /// `A'[l, p', (k, j), r] = sum_p K_j[p', p] A[l, p, k, r]`.
     fn grow_kraus_1q(&mut self, kraus: &[Matrix], i: usize) {
+        self.split = i;
         let site = &mut self.sites[i];
         let (l, k, r) = (site.l, site.k, site.r);
         let m = kraus.len();
@@ -614,51 +703,80 @@ impl PurifiedMps {
         })
     }
 
-    /// `Tr(rho |bits><bits|)` by the diagonal transfer sweep: each
-    /// site's physical legs are pinned to the candidate's bit (routed
-    /// through the qubit-to-site permutation), the Kraus legs traced.
-    /// `O(n kappa chi^3)` per candidate.
-    fn diagonal_probability(&self, bits: BitString) -> f64 {
-        assert_eq!(bits.len(), self.n);
+    /// `Tr(rho |x><x|)` of every candidate as `sum_{a,b} L(x)[a,b]
+    /// E(x)[a,b]` split at site `s` (`self.split`), passed to
+    /// `emit(candidate index, probability)`.
+    ///
+    /// `L` is the diagonal transfer sweep over sites `[0, s)` and `E`
+    /// the same sweep over sites `[s, n)` from the right: each site's
+    /// physical legs are pinned to the candidate's bit (routed through
+    /// the qubit-to-site permutation) and its Kraus leg traced. Both
+    /// sides share their `dim x dim` environments across the candidate
+    /// list through a [`Trie`]; a level advances all rows of one bit
+    /// value with two gather-GEMMs, the Kraus index folded into their
+    /// free and shared axes. `O(n kappa chi^3)` per distinct trie row,
+    /// `O(chi^2)` per candidate to close.
+    ///
+    /// Every row folds its terms in the same order whatever the batch
+    /// holds and `s` belongs to the state, so a batch returns exactly
+    /// the single-candidate values. The clamp to `+0.0` also maps a
+    /// `-0.0` closing sum to `+0.0`, keeping batch == scalar by
+    /// `to_bits()` even where the GEMM path flips an exact zero's sign.
+    fn split_probabilities(&self, candidates: &[BitString], mut emit: impl FnMut(usize, f64)) {
+        for c in candidates {
+            assert_eq!(c.len(), self.n);
+        }
+        if candidates.is_empty() {
+            return;
+        }
+        let s = self.split;
+        debug_assert!(s < self.n);
         SCRATCH.with(|cell| {
             let sc = &mut *cell.borrow_mut();
-            sc.rho.clear();
-            sc.rho.push(C64::ONE);
-            let mut dim = 1usize;
-            for (i, site) in self.sites.iter().enumerate() {
-                let (l, k, r) = (site.l, site.k, site.r);
-                debug_assert_eq!(l, dim);
-                let p = bits.get(self.qubit_of_site[i]) as usize;
-                sc.rho_next.clear();
-                sc.rho_next.resize(r * r, C64::ZERO);
-                for ki in 0..k {
-                    sc.tmat.clear();
-                    sc.tmat.resize(r * l, C64::ZERO);
-                    gemm::with_scratch(|g| {
-                        g.moff.clear();
-                        g.moff.extend(0..r);
-                        g.a_koff.clear();
-                        g.a_koff
-                            .extend((0..l).map(|li| ((li * 2 + p) * k + ki) * r));
-                        g.b_koff.clear();
-                        g.b_koff.extend((0..l).map(|li| li * l));
-                        g.noff.clear();
-                        g.noff.extend(0..l);
-                        gemm::matmul_gather_into(&mut sc.tmat, r, l, l, &site.data, &sc.rho, g);
-                    });
-                    sc.conj_slice.clear();
-                    sc.conj_slice.extend(
-                        (0..l * r)
-                            .map(|t| site.data[((t / r * 2 + p) * k + ki) * r + t % r].conj()),
-                    );
-                    gemm::matmul_acc_into(&mut sc.rho_next, r, l, r, &sc.tmat, &sc.conj_slice);
-                }
-                std::mem::swap(&mut sc.rho, &mut sc.rho_next);
-                dim = r;
+            let PurifiedScratch {
+                left,
+                right,
+                env_l,
+                env_r,
+                env_next,
+                tmat,
+                conj_slice,
+                ..
+            } = sc;
+            let levels = (0..s).map(|i| (i, self.qubit_of_site[i], self.sites[i].r.pow(2)));
+            left.sweep(
+                candidates,
+                levels,
+                env_l,
+                env_next,
+                |i, bit, parents, env, out| {
+                    self.sites[i].advance(bit, true, parents, env, out, tmat, conj_slice)
+                },
+            );
+            let levels = (s..self.n)
+                .rev()
+                .map(|i| (i, self.qubit_of_site[i], self.sites[i].l.pow(2)));
+            right.sweep(
+                candidates,
+                levels,
+                env_r,
+                env_next,
+                |i, bit, parents, env, out| {
+                    self.sites[i].advance(bit, false, parents, env, out, tmat, conj_slice)
+                },
+            );
+            let dd = self.sites[s].l * self.sites[s].l;
+            for c in 0..candidates.len() {
+                let lm = &env_l[left.row(c) * dd..][..dd];
+                let em = &env_r[right.row(c) * dd..][..dd];
+                let p = lm
+                    .iter()
+                    .zip(em)
+                    .fold(C64::ZERO, |acc, (&a, &b)| a.mul_add(b, acc))
+                    .re;
+                emit(c, if p > 0.0 { p } else { 0.0 });
             }
-            debug_assert_eq!(dim, 1);
-            sc.rho[0].re.max(0.0)
-        })
+        });
     }
 
     /// Exact `Tr(rho P)` via the operator-woven doubled transfer sweep,
@@ -703,17 +821,15 @@ impl BglsState for PurifiedMps {
     }
 
     fn probability(&self, bits: BitString) -> f64 {
-        self.diagonal_probability(bits)
+        let mut p = 0.0;
+        self.split_probabilities(&[bits], |_, v| p = v);
+        p
     }
 
     fn probabilities_batch(&self, candidates: &[BitString]) -> Vec<f64> {
-        // One diagonal sweep per candidate — the same floating-point
-        // operations as the scalar path, so the batch is bit-identical
-        // to standalone `probability` calls by construction.
-        candidates
-            .iter()
-            .map(|&c| self.diagonal_probability(c))
-            .collect()
+        let mut out = vec![0.0; candidates.len()];
+        self.split_probabilities(candidates, |c, p| out[c] = p);
+        out
     }
 
     fn apply_kraus(
@@ -989,6 +1105,136 @@ mod tests {
         let batched = st.probabilities_batch(&cands);
         for (c, p) in cands.iter().zip(&batched) {
             assert_eq!(p.to_bits(), st.probability(*c).to_bits(), "{c}");
+        }
+    }
+
+    /// Checks `st` right after an op on `support`: sampler-shaped sets
+    /// (one and several map entries) and a random set must give
+    /// `probabilities_batch == probability` by `to_bits()`, never `-0.0`,
+    /// and agree with `dm` to 1e-10 when given.
+    fn check_split_sweep(
+        st: &PurifiedMps,
+        dm: Option<&DensityMatrix>,
+        support: &[usize],
+        rng: &mut StdRng,
+    ) {
+        use rand::Rng;
+        let n = st.num_qubits();
+        let mut random = || BitString::from_u64(n, rng.gen::<u64>());
+        let sets: Vec<Vec<BitString>> = vec![
+            random().candidates(support),
+            (0..3).flat_map(|_| random().candidates(support)).collect(),
+            (0..9).map(|_| random()).collect(),
+        ];
+        for cands in sets {
+            let batched = st.probabilities_batch(&cands);
+            for (c, p) in cands.iter().zip(&batched) {
+                let scalar = st.probability(*c);
+                assert_eq!(
+                    p.to_bits(),
+                    scalar.to_bits(),
+                    "batch {p} vs scalar {scalar} at {c}"
+                );
+                assert_ne!(p.to_bits(), (-0.0f64).to_bits(), "{c}");
+                if let Some(dm) = dm {
+                    let e = dm.probability(*c);
+                    assert!((p - e).abs() < 1e-10, "{c}: pmps {p} vs density {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_sweep_is_bit_identical_and_exact_after_every_op() {
+        use rand::Rng;
+        // (seed, qubits, bond cap): two exact runs, one truncating both
+        // the bonds and the Kraus legs
+        for (seed, n, chi) in [(21u64, 5, None), (22, 4, None), (23, 6, Some(2))] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut st = PurifiedMps::zero(
+                n,
+                PurifiedOptions {
+                    max_bond: chi,
+                    max_kraus: chi.map(|c| 2 * c),
+                    ..PurifiedOptions::exact()
+                },
+            );
+            let mut dm = DensityMatrix::zero(n);
+            let mut splits = vec![false; n];
+            let mut zeros = 0;
+            for step in 0..24 {
+                let pair = |rng: &mut StdRng| {
+                    let a = rng.gen_range(0..n);
+                    vec![a, (a + rng.gen_range(1..n)) % n]
+                };
+                let support = match step % 6 {
+                    // 1q channels and the 2q channel between gates
+                    1 => {
+                        let q = vec![rng.gen_range(0..n)];
+                        let ch = if rng.gen::<bool>() {
+                            Channel::depolarizing(0.1).unwrap()
+                        } else {
+                            Channel::amplitude_damping(0.2).unwrap()
+                        };
+                        st.apply_kraus(&ch, &q, &mut rng).unwrap();
+                        dm.apply_kraus(&ch, &q, &mut rng).unwrap();
+                        q
+                    }
+                    3 if step % 12 == 3 => {
+                        let qs = pair(&mut rng);
+                        let ch = Channel::depolarizing2(0.05).unwrap();
+                        st.apply_kraus(&ch, &qs, &mut rng).unwrap();
+                        dm.apply_kraus(&ch, &qs, &mut rng).unwrap();
+                        qs
+                    }
+                    4 => {
+                        // project onto the likelier outcome
+                        let q = rng.gen_range(0..n);
+                        let z = st
+                            .pauli_expectation(&format!("Z{q}").parse().unwrap())
+                            .unwrap();
+                        let value = (1.0 - z) / 2.0 > 0.5;
+                        st.project(q, value).unwrap();
+                        dm.project(q, value).unwrap();
+                        vec![q]
+                    }
+                    _ => {
+                        let qs = match step % 7 {
+                            // pin the split to both ends of the chain
+                            0 => vec![st.qubit_of_site[0]],
+                            2 => vec![st.qubit_of_site[n - 2], st.qubit_of_site[n - 1]],
+                            _ if rng.gen::<bool>() => vec![rng.gen_range(0..n)],
+                            _ => pair(&mut rng),
+                        };
+                        let theta = rng.gen::<f64>() * 3.0;
+                        let gate = match (qs.len(), rng.gen_range(0..3)) {
+                            (1, 0) => Gate::H,
+                            (1, 1) => Gate::SqrtX,
+                            (1, _) => Gate::Ry(theta.into()),
+                            (_, 0) => Gate::Cnot,
+                            (_, 1) => Gate::ISwap,
+                            _ => Gate::Rzz(theta.into()),
+                        };
+                        st.apply_gate(&gate, &qs).unwrap();
+                        dm.apply_gate(&gate, &qs).unwrap();
+                        qs
+                    }
+                };
+                splits[st.split] = true;
+                zeros += st
+                    .probabilities_batch(&[BitString::zeros(n), BitString::from_u64(n, u64::MAX)])
+                    .iter()
+                    .filter(|&&p| p == 0.0)
+                    .count();
+                let exact = chi.is_none().then_some(&dm);
+                check_split_sweep(&st, exact, &support, &mut rng);
+            }
+            assert!(splits[0] && splits[n - 1], "splits seen: {splits:?}");
+            // exact zeros (product-state start, projections) were covered
+            assert!(zeros > 0);
+            if chi.is_some() {
+                assert!(st.truncation_weight() > 0.0);
+            }
         }
     }
 

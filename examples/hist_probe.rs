@@ -7,7 +7,8 @@
 //! sample-parallel multiplicity-map path, then the two stabilizer
 //! backends: a 20-qubit Clifford circuit on the CH form (sample-parallel
 //! path) and a 16-qubit mid-circuit-measured one on the tableau (forest
-//! path). Diff the output
+//! path), and last a noisy 12-qubit brickwork on the purified MPS
+//! (sample-parallel path). Diff the output
 //! across revisions (or across `RAYON_NUM_THREADS` settings) to check
 //! that a change left seeded sampling behaviour bit-identical:
 //!
@@ -23,11 +24,11 @@ use bgls_apps::{brickwork_circuit, random_u2_brickwork};
 use bgls_circuit::{generate_random_circuit, RandomCircuitParams};
 use bgls_circuit::{Channel, Circuit, Gate, Operation, Qubit};
 use bgls_core::{default_apply_op, BglsState, BitString, Histogram, Simulator};
-use bgls_mps::{ChainMps, LazyNetworkState, MpsOptions};
+use bgls_mps::{ChainMps, LazyNetworkState, MpsOptions, PurifiedMps, PurifiedOptions};
 use bgls_stabilizer::{ChForm, CliffordTableau};
 use bgls_statevector::{DensityMatrix, StateVector};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn print_samples(label: &str, samples: &[BitString]) {
@@ -118,6 +119,32 @@ fn midcircuit_clifford_circuit() -> Circuit {
     c
 }
 
+/// A 12-qubit brickwork (random 1q layer, staggered CZ bricks) with
+/// depolarizing noise on every qubit after each layer and a full
+/// readout. The purified MPS absorbs each channel exactly, so the
+/// repetitions ride one multiplicity map.
+fn noisy_pmps_circuit() -> Circuit {
+    let mut rng = StdRng::seed_from_u64(15);
+    let one_q = [Gate::SqrtX, Gate::T, Gate::H];
+    let mut c = Circuit::new();
+    for layer in 0..6 {
+        for q in 0..12 {
+            let g = one_q[rng.gen_range(0..one_q.len())].clone();
+            c.push(Operation::gate(g, vec![Qubit(q)]).unwrap());
+        }
+        for q in (layer % 2..11).step_by(2) {
+            c.push(Operation::gate(Gate::Cz, vec![Qubit(q), Qubit(q + 1)]).unwrap());
+        }
+        for q in 0..12 {
+            c.push(
+                Operation::channel(Channel::depolarizing(0.01).unwrap(), vec![Qubit(q)]).unwrap(),
+            );
+        }
+    }
+    c.push(Operation::measure(Qubit::range(12), "m").unwrap());
+    c
+}
+
 fn main() {
     let mut rng = StdRng::seed_from_u64(32);
     let chain_circuit = random_u2_brickwork(20, 8, &mut rng);
@@ -170,4 +197,9 @@ fn main() {
     let result = sim.run(&midcircuit_clifford_circuit(), 300).unwrap();
     print_histogram("tableau_mid", result.histogram("early").unwrap());
     print_histogram("tableau_fin", result.histogram("fin").unwrap());
+
+    let pmps = PurifiedMps::zero(12, PurifiedOptions::with_max_bond(4).with_max_kraus(4));
+    let sim = Simulator::new(pmps).with_seed(8);
+    let result = sim.run(&noisy_pmps_circuit(), 500).unwrap();
+    print_histogram("pmps", result.histogram("m").unwrap());
 }

@@ -220,8 +220,9 @@ fn kraus_channels_agree_between_trajectories_and_density_matrix() {
 // ---- batched hot path: determinism and statistical agreement ----------
 
 /// The three circuit families of the batched-path acceptance tests. The
-/// Clifford and QAOA entries exercise, respectively, the CH-form's
-/// default batch loop and the MPS environment-sharing sweep.
+/// Clifford and QAOA entries exercise, respectively, the stabilizer
+/// backends' support test and the MPS split sweep over shared left and
+/// right environments.
 fn agreement_circuits() -> Vec<(&'static str, Circuit)> {
     vec![
         ("ghz", ghz_circuit()),

@@ -15,7 +15,7 @@ use bgls_apps::{
 use bgls_bench::{
     clifford_t_workload, clifford_workload, fmt_secs, time_median, universal_workload,
 };
-use bgls_circuit::{optimize_for_bgls, substitute_gate, Circuit, Gate, Operation, Qubit};
+use bgls_circuit::{fuse, substitute_gate, Circuit, Gate, Operation, Qubit};
 use bgls_core::{QubitByQubitSimulator, Simulator, SimulatorOptions};
 use bgls_mps::LazyNetworkState;
 use bgls_stabilizer::{near_clifford_simulator, stabilizer_extent_rz, ChForm, TableauSimulator};
@@ -408,9 +408,9 @@ fn fig8(quick: bool) {
     assert_eq!(cut_value(&graph, sol.partition), sol.cut);
 }
 
-/// Docs "tips" table: optimize_for_bgls speedup on random 8-qubit circuits.
+/// Docs "tips" table: `fuse` speedup on random 8-qubit circuits.
 fn opt_table(quick: bool) {
-    header("Optimization table: optimize_for_bgls speedup (random 8-qubit circuits)");
+    header("Optimization table: fuse speedup (random 8-qubit circuits)");
     let layers: &[usize] = if quick {
         &[10, 50]
     } else {
@@ -423,7 +423,7 @@ fn opt_table(quick: bool) {
     );
     for &l in layers {
         let circuit = universal_workload(8, l, 77);
-        let opt = optimize_for_bgls(&circuit);
+        let opt = fuse(&circuit);
         let sim = Simulator::new(StateVector::zero(8)).with_seed(5);
         let t_raw = time_median(3, || {
             sim.sample_final_bitstrings(&circuit, reps).unwrap();

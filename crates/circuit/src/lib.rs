@@ -13,8 +13,8 @@
 //!   observables with phase-tracked algebra, qubit-wise-commuting
 //!   grouping, and basis-rotation emission (the observable side of the
 //!   expectation engine in `bgls-core`);
-//! * [`fuse`] / [`optimize_for_bgls`] — single-qubit-run merging
-//!   (Sec. 3.2.2), the optimizer's `merge_single_qubit_runs` pass;
+//! * [`fuse`] — single-qubit-run merging (Sec. 3.2.2, the paper's
+//!   `optimize_for_bgls`), the optimizer's `merge_single_qubit_runs` pass;
 //! * [`generate_random_circuit`] — random-circuit workloads (Sec. 4.1.3);
 //! * [`to_qasm`] / [`from_qasm`] — OpenQASM 2.0 interop (Sec. 3.2.4).
 
@@ -56,4 +56,4 @@ pub use qubit::Qubit;
 pub use random::{
     generate_random_circuit, replace_single_qubit_gates, substitute_gate, RandomCircuitParams,
 };
-pub use transform::{drop_identities, fuse, merge_single_qubit_gates, optimize_for_bgls};
+pub use transform::{drop_identities, fuse, merge_single_qubit_gates};

@@ -1,7 +1,8 @@
-//! Circuit transformers, most importantly the `bgls.optimize_for_bgls`
-//! substitute (paper Sec. 3.2.2): merging runs of single-qubit gates so the
-//! sampler updates its bitstring once per merged gate instead of once per
-//! primitive gate, a documented 1.5-2x runtime win.
+//! Circuit transformers, most importantly [`fuse`], this crate's
+//! counterpart of `bgls.optimize_for_bgls` (paper Sec. 3.2.2): merging
+//! runs of single-qubit gates so the sampler updates its bitstring once
+//! per merged gate instead of once per primitive gate, a documented
+//! 1.5-2x runtime win.
 //!
 //! The composed pass behind `OptimizeConfig::merge_single_qubit_runs` is
 //! [`fuse`] ([`merge_single_qubit_gates`] followed by
@@ -118,12 +119,6 @@ pub fn fuse(circuit: &Circuit) -> Circuit {
     drop_identities(&merge_single_qubit_gates(circuit))
 }
 
-/// The full BGLS-oriented optimization pipeline (paper Sec. 3.2.2) —
-/// today identical to [`fuse`], kept under the paper's name.
-pub fn optimize_for_bgls(circuit: &Circuit) -> Circuit {
-    fuse(circuit)
-}
-
 /// True when `m ~= e^{i phi} I` for some phase.
 pub(crate) fn is_identity_up_to_phase(m: &Matrix, tol: f64) -> bool {
     if !m.is_square() {
@@ -215,7 +210,7 @@ mod tests {
         c.push(op(Gate::H, &[1]));
         c.push(op(Gate::X, &[0]));
         c.push(op(Gate::X, &[0])); // X X = I -> merged U1 is identity
-        let opt = optimize_for_bgls(&c);
+        let opt = fuse(&c);
         assert_eq!(opt.num_operations(), 1);
     }
 
@@ -224,7 +219,7 @@ mod tests {
         let mut c = Circuit::new();
         c.push(op(Gate::T, &[0]));
         c.push(op(Gate::Tdg, &[0]));
-        let opt = optimize_for_bgls(&c);
+        let opt = fuse(&c);
         assert_eq!(opt.num_operations(), 0);
     }
 
@@ -277,7 +272,7 @@ mod tests {
             gate_set: vec![Gate::H, Gate::S, Gate::T, Gate::X, Gate::Cnot, Gate::Cz],
         };
         let c = generate_random_circuit(&params, &mut rng);
-        let opt = optimize_for_bgls(&c);
+        let opt = fuse(&c);
         assert!(opt.num_operations() <= c.num_operations());
         let u = c.unitary(4).unwrap();
         let v = opt.unitary(4).unwrap();
@@ -294,7 +289,7 @@ mod tests {
             gate_set: vec![Gate::H, Gate::S, Gate::T, Gate::X],
         };
         let c = generate_random_circuit(&params, &mut rng);
-        let opt = optimize_for_bgls(&c);
+        let opt = fuse(&c);
         // all 1q gates with no barriers: everything merges to <= 8 ops
         assert!(opt.num_operations() <= 8);
     }

@@ -35,7 +35,7 @@ pub use bitstring::BitString;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use error::SimError;
 pub use results::{ExpectationEstimate, Histogram, RunResult};
-pub use service::{BatchController, BatchPolicy, CacheKey, CacheStats, ResultCache, RetryPolicy};
+pub use service::{BatchPolicy, CacheKey, CacheStats, ResultCache, RetryPolicy};
 pub use simulator::{
     categorical, default_apply_op, multinomial_split, stream_seed, ApplyFn, BatchProbFn, OpFaultFn,
     ProbFn, Simulator, SimulatorOptions,

@@ -1,5 +1,5 @@
-//! Serving-layer building blocks: a deterministic result cache and a
-//! setpoint-driven batch admission controller.
+//! Serving-layer building blocks: a deterministic result cache, the
+//! retry schedule, and the batch-size cap.
 //!
 //! The gate-by-gate engine's determinism contract makes simulation
 //! results *cacheable*: a seeded run is a pure function of
@@ -8,15 +8,10 @@
 //! a bit-identical result. [`ResultCache`] is that memo table, keyed by
 //! [`CacheKey`] and bounded by FIFO eviction.
 //!
-//! [`BatchController`] governs how many queued requests a service drains
-//! per batch. Instead of a fixed constant it runs a small PI control
-//! loop on the observed per-batch service latency — the batch size is a
-//! *setpoint-tracking knob*: batches that finish faster than the target
-//! latency grow the next batch (better amortization of fan-out
-//! overhead), slow batches shrink it (bounded queue delay for the
-//! requests behind them). The controller is deterministic given its
-//! observation sequence, clamps to a configured range, and holds inside
-//! a deadband so it does not dither.
+//! [`BatchPolicy`] caps how many queued requests a service drains per
+//! batch. Below the cap a drain takes a fair share of the eligible queue
+//! (`ceil(eligible / drainers)`), so batch composition depends on the
+//! queue alone, never on wall-clock feedback.
 
 use crate::results::RunResult;
 use bgls_linalg::FxHashMap;
@@ -196,105 +191,18 @@ impl RetryPolicy {
     }
 }
 
-/// Configuration of the [`BatchController`]: the latency setpoint and
-/// the PI gains (in the spirit of a Shannon-style control unit — steer a
-/// knob to hold a target signal instead of hard-coding the knob).
+/// The batch-size cap of a batch service. A drain takes
+/// `ceil(eligible / drainers)` queued jobs, clamped to
+/// `[1, max_batch]`.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPolicy {
-    /// Smallest batch the controller will issue.
-    pub min_batch: usize,
-    /// Largest batch the controller will issue.
+    /// Largest batch a drain takes.
     pub max_batch: usize,
-    /// Target wall-clock per drained batch, in milliseconds. The
-    /// controller grows the batch while batches finish under the target
-    /// and shrinks it when they overrun.
-    pub target_batch_ms: f64,
-    /// Proportional gain on the relative latency error.
-    pub kp: f64,
-    /// Integral gain on the accumulated relative error.
-    pub ki: f64,
-    /// Relative deadband: errors smaller than this fraction of the
-    /// setpoint leave the batch size untouched (no dithering).
-    pub deadband: f64,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            min_batch: 1,
-            max_batch: 64,
-            target_batch_ms: 50.0,
-            kp: 0.5,
-            ki: 0.1,
-            deadband: 0.1,
-        }
-    }
-}
-
-/// PI controller steering the per-drain batch size toward the policy's
-/// latency setpoint. Feed it each drained batch's size and elapsed time
-/// via [`BatchController::observe`]; read the next batch size with
-/// [`BatchController::batch_size`].
-#[derive(Clone, Debug)]
-pub struct BatchController {
-    policy: BatchPolicy,
-    current: f64,
-    integral: f64,
-}
-
-impl BatchController {
-    /// A controller starting at the policy's midpoint batch size.
-    pub fn new(policy: BatchPolicy) -> Self {
-        let start = ((policy.min_batch + policy.max_batch) / 2).max(policy.min_batch);
-        BatchController {
-            policy,
-            current: start as f64,
-            integral: 0.0,
-        }
-    }
-
-    /// The batch size to drain next.
-    pub fn batch_size(&self) -> usize {
-        (self.current.round() as usize).clamp(self.policy.min_batch, self.policy.max_batch)
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
-
-    /// Records one drained batch: `jobs` requests served in `elapsed_ms`
-    /// wall-clock milliseconds. The controller compares the *projected*
-    /// latency of the current batch size (per-job latency times current
-    /// size) against the setpoint and applies a PI update on the
-    /// relative error, clamped to the policy's range.
-    pub fn observe(&mut self, jobs: usize, elapsed_ms: f64) {
-        if jobs == 0 || !elapsed_ms.is_finite() || elapsed_ms < 0.0 {
-            return;
-        }
-        let per_job_ms = (elapsed_ms / jobs as f64).max(1e-6);
-        let projected = per_job_ms * self.current;
-        // positive error = headroom below the setpoint -> grow
-        let error = (self.policy.target_batch_ms - projected) / self.policy.target_batch_ms;
-        if error.abs() <= self.policy.deadband {
-            return;
-        }
-        // Anti-windup by conditional integration: when the actuator is
-        // pinned at a clamp and the error pushes further into it, the
-        // integral term would only accumulate charge that has to be
-        // unwound before the controller can react to a reversal. Skip
-        // integration in that case so recovery from saturation is
-        // immediate.
-        let pinned_high = self.current >= self.policy.max_batch as f64 && error > 0.0;
-        let pinned_low = self.current <= self.policy.min_batch as f64 && error < 0.0;
-        if !pinned_high && !pinned_low {
-            self.integral = (self.integral + error).clamp(-10.0, 10.0);
-        }
-        let adjust = self.policy.kp * error + self.policy.ki * self.integral;
-        // multiplicative actuation keeps the step proportional to the
-        // current operating point across the decades between min and max
-        self.current = (self.current * (1.0 + adjust))
-            .clamp(self.policy.min_batch as f64, self.policy.max_batch as f64);
+        BatchPolicy { max_batch: 64 }
     }
 }
 
@@ -407,109 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn controller_grows_on_fast_batches_and_shrinks_on_slow() {
-        let policy = BatchPolicy {
-            min_batch: 1,
-            max_batch: 64,
-            target_batch_ms: 50.0,
-            ..Default::default()
-        };
-        let mut c = BatchController::new(policy);
-        let start = c.batch_size();
-        // fast batches: 0.1 ms per job, far under the 50 ms setpoint
-        for _ in 0..20 {
-            let b = c.batch_size();
-            c.observe(b, 0.1 * b as f64);
-        }
-        assert!(c.batch_size() > start, "headroom must grow the batch");
-        // slow batches: 10 ms per job drives the projected latency over
-        for _ in 0..30 {
-            let b = c.batch_size();
-            c.observe(b, 10.0 * b as f64);
-        }
-        assert!(c.batch_size() < 64, "overrun must shrink the batch");
-        assert!(c.batch_size() >= policy.min_batch);
-    }
-
-    #[test]
-    fn controller_clamps_and_ignores_degenerate_observations() {
-        let policy = BatchPolicy {
-            min_batch: 2,
-            max_batch: 8,
-            ..Default::default()
-        };
-        let mut c = BatchController::new(policy);
-        for _ in 0..100 {
-            c.observe(4, 0.0001); // extremely fast -> push to max
-        }
-        assert_eq!(c.batch_size(), 8);
-        c.observe(0, 1.0); // no-op
-        c.observe(4, f64::NAN); // no-op
-        c.observe(4, -1.0); // no-op
-        assert_eq!(c.batch_size(), 8);
-        for _ in 0..200 {
-            c.observe(4, 1e6); // extremely slow -> push to min
-        }
-        assert_eq!(c.batch_size(), 2);
-    }
-
-    #[test]
-    fn anti_windup_releases_the_max_clamp_promptly() {
-        let policy = BatchPolicy {
-            min_batch: 1,
-            max_batch: 8,
-            target_batch_ms: 50.0,
-            ..Default::default()
-        };
-        let mut c = BatchController::new(policy);
-        // saturate high: ~unit positive error per observation, held at
-        // the max clamp for many observations
-        for _ in 0..50 {
-            let b = c.batch_size();
-            c.observe(b, 0.001 * b as f64);
-        }
-        assert_eq!(c.batch_size(), 8, "fast batches pin the max clamp");
-        // moderate reversal: projected latency 2x the setpoint. Without
-        // conditional integration the wound-up integral holds the
-        // controller at the clamp for many observations; with it the
-        // first reversal observations already move the batch size.
-        for _ in 0..3 {
-            c.observe(8, 100.0);
-        }
-        assert!(
-            c.batch_size() < 8,
-            "controller must unpin from the max clamp within 3 reversal observations"
-        );
-    }
-
-    #[test]
-    fn anti_windup_releases_the_min_clamp_promptly() {
-        let policy = BatchPolicy {
-            min_batch: 2,
-            max_batch: 8,
-            target_batch_ms: 50.0,
-            ..Default::default()
-        };
-        let mut c = BatchController::new(policy);
-        // saturate low with a persistent moderate overload (30 ms per
-        // job keeps the projected latency above target even at min)
-        for _ in 0..50 {
-            let b = c.batch_size();
-            c.observe(b, 30.0 * b as f64);
-        }
-        assert_eq!(c.batch_size(), 2, "slow batches pin the min clamp");
-        // reversal: essentially free batches
-        for _ in 0..3 {
-            let b = c.batch_size();
-            c.observe(b, 0.001 * b as f64);
-        }
-        assert!(
-            c.batch_size() > 2,
-            "controller must unpin from the min clamp within 3 reversal observations"
-        );
-    }
-
-    #[test]
     fn retry_backoff_schedule_is_exponential_and_capped() {
         let policy = RetryPolicy {
             max_retries: 3,
@@ -532,18 +337,5 @@ mod tests {
             ..policy
         };
         assert_eq!(decay.backoff_ms(5), 4);
-    }
-
-    #[test]
-    fn controller_holds_inside_the_deadband() {
-        let policy = BatchPolicy::default();
-        let mut c = BatchController::new(policy);
-        let b = c.batch_size();
-        // exactly on target: projected latency == setpoint
-        let per_job = policy.target_batch_ms / b as f64;
-        for _ in 0..10 {
-            c.observe(b, per_job * b as f64);
-        }
-        assert_eq!(c.batch_size(), b, "on-target observations must hold");
     }
 }

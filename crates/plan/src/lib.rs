@@ -14,8 +14,8 @@
 //!   [`bgls_core::SimulatorOptions`] that realize it,
 //! - [`SimulationService`] hosts a submission queue over the planner:
 //!   compatible requests merge into single `run_batch` /
-//!   `expectation_sweep` fan-outs, batch admission tracks a latency
-//!   setpoint ([`bgls_core::BatchController`]), and seeded results are
+//!   `expectation_sweep` fan-outs, each drain takes a fair share of the
+//!   queue (capped by [`bgls_core::BatchPolicy`]), and seeded results are
 //!   memoized in a deterministic [`bgls_core::ResultCache`] — sound
 //!   because every seeded run is a pure function of
 //!   `(circuit, backend, options, seed, repetitions)`,

@@ -54,7 +54,10 @@ const BACKOFF_NAP_CAP_MS: u64 = 50;
 /// Configuration of the serving front door.
 #[derive(Clone, Copy, Debug)]
 pub struct ServePolicy {
-    /// Worker threads draining the service.
+    /// Worker threads draining the service. Also the batch share: each
+    /// take drains `ceil(eligible / workers)` queued jobs (up to
+    /// [`bgls_core::BatchPolicy::max_batch`]), so the workers split a
+    /// burst between them.
     pub workers: usize,
     /// Bounded submission-channel depth; a full channel rejects
     /// [`ServiceHandle::submit`] with [`SimError::Invalid`].
@@ -136,7 +139,8 @@ impl ServiceHandle {
             ));
         }
         let planner = config.planner;
-        let service = SimulationService::new(config);
+        let mut service = SimulationService::new(config);
+        service.set_drainers(policy.workers);
         let clock = service.clock();
         let shared = Arc::new(Shared {
             phases: service.phases(),
@@ -460,7 +464,7 @@ fn worker_loop(shared: &Shared, receiver: &Arc<Mutex<Receiver<Msg>>>) {
                 }
             }
         }
-        // Take one admission-controlled batch, simulate it outside the
+        // Take this worker's share of the queue, simulate it outside the
         // service lock, then settle it; publish what each locked step
         // finished (cache hits and deadline misses settle at take).
         let (batch, finished) = {

@@ -5,7 +5,7 @@
 //! Requests arrive via [`SimulationService::submit`] (which plans them
 //! immediately — infeasible circuits are rejected at the door), sit in
 //! a bounded FIFO queue, and are drained by
-//! [`SimulationService::run_pending`] in admission-controlled batches:
+//! [`SimulationService::run_pending`] in batches:
 //!
 //! 1. Each drained job first consults the [`ResultCache`]. A seeded
 //!    simulation is a pure function of
@@ -20,9 +20,12 @@
 //!    ONE engine fan-out: [`Simulator::run_batch`] for histograms
 //!    (every entry under exactly its own seed, so merging never changes
 //!    any result) or [`Simulator::expectation_sweep`] for expectations.
-//! 3. Batch size is a setpoint-driven knob: a [`BatchController`] PI
-//!    loop grows batches while service latency is under target and
-//!    shrinks them when it overshoots.
+//! 3. Each drain takes a fair share of the queue: `ceil(eligible /
+//!    drainers)` jobs, clamped to `[1, max_batch]` ([`BatchPolicy`]).
+//!    `eligible` counts the queued jobs outside a retry backoff window;
+//!    `drainers` is 1 for [`SimulationService::run_pending`] and the
+//!    worker count under a [`crate::ServiceHandle`], so concurrent
+//!    workers split a burst instead of one of them taking all of it.
 //!
 //! # Failure domains
 //!
@@ -48,8 +51,8 @@ use crate::PlannerConfig;
 use bgls_backend::{BackendKind, SimulatorExt};
 use bgls_circuit::{lightcone_prune_for, Circuit, ParamResolver, PauliSum, Qubit, RewriteStats};
 use bgls_core::{
-    BatchController, BatchPolicy, CacheKey, CacheStats, Clock, MonotonicClock, OpFaultFn,
-    ResultCache, RetryPolicy, RunResult, SimError, Simulator,
+    BatchPolicy, CacheKey, CacheStats, Clock, MonotonicClock, OpFaultFn, ResultCache, RetryPolicy,
+    RunResult, SimError, Simulator,
 };
 use bgls_linalg::{FxHashMap, FxHasher};
 use std::collections::VecDeque;
@@ -94,7 +97,8 @@ pub struct ServiceConfig {
     /// `None` leaves such requests unseeded — fresh entropy every run,
     /// and therefore uncacheable.
     pub default_seed: Option<u64>,
-    /// Setpoint and gains of the batch admission controller.
+    /// Cap on the jobs one drain takes; below it a drain takes a fair
+    /// share of the eligible queue.
     pub batch: BatchPolicy,
     /// Retry budget and backoff schedule per degradation rung.
     pub retry: RetryPolicy,
@@ -448,9 +452,6 @@ impl Resolved {
 /// grouped into engine fan-outs, plus what executing them needs from
 /// the configuration. [`Batch::execute`] runs it without the service.
 pub(crate) struct Batch {
-    /// Jobs drained into the batch, cache hits and parked duplicates
-    /// included — the batch controller's input.
-    taken: usize,
     work: Vec<Work>,
     fault: Option<FaultPlan>,
     clock: Arc<dyn Clock>,
@@ -480,8 +481,6 @@ enum Work {
 /// What [`Batch::execute`] hands back to [`SimulationService::settle`]:
 /// plain per-job outcomes and the measurements to book.
 pub(crate) struct Executed {
-    taken: usize,
-    elapsed_ms: f64,
     outcomes: Vec<(PendingJob, Result<JobOutput, SimError>)>,
     /// `(backend, path, static units, wall ms)` of each merged fan-out
     /// that succeeded — the cost model's observations.
@@ -505,7 +504,10 @@ pub struct SimulationService {
     queue: VecDeque<PendingJob>,
     done: FxHashMap<u64, Result<JobReport, SimError>>,
     cache: ResultCache<JobOutput>,
-    controller: BatchController,
+    /// Drain loops sharing the queue: 1 for direct
+    /// [`SimulationService::run_pending`], the worker count under a
+    /// [`crate::ServiceHandle`]. Each take is a `1/drainers` share.
+    drainers: usize,
     next_id: u64,
     stats: ServiceStats,
     clock: Arc<dyn Clock>,
@@ -542,13 +544,12 @@ impl SimulationService {
     /// deterministic in tests.
     pub fn with_clock(config: ServiceConfig, clock: Arc<dyn Clock>) -> Self {
         let cache = ResultCache::new(config.cache_capacity);
-        let controller = BatchController::new(config.batch);
         SimulationService {
             config,
             queue: VecDeque::new(),
             done: FxHashMap::default(),
             cache,
-            controller,
+            drainers: 1,
             next_id: 0,
             stats: ServiceStats::default(),
             clock,
@@ -662,11 +663,12 @@ impl SimulationService {
         Ok(())
     }
 
-    /// Drains and executes one admission-controlled batch from the
-    /// queue; returns the number of jobs settled (ok or err — retried
-    /// jobs do not count until they settle). Jobs inside a retry
-    /// backoff window are passed over; jobs past their deadline settle
-    /// with [`SimError::DeadlineExceeded`] without executing. Call in a
+    /// Drains and executes one batch of
+    /// [`SimulationService::batch_size`] jobs from the queue; returns the
+    /// number of jobs settled (ok or err — retried jobs do not count
+    /// until they settle). Jobs inside a retry backoff window are passed
+    /// over; jobs past their deadline settle with
+    /// [`SimError::DeadlineExceeded`] without executing. Call in a
     /// loop — or use [`SimulationService::run_all`] — to drain fully.
     pub fn run_pending(&mut self) -> usize {
         let settled_before = self.stats.completed + self.stats.failed;
@@ -776,9 +778,26 @@ impl SimulationService {
         self.cache.stats()
     }
 
-    /// The controller's current batch size (the PI loop's actuation).
+    /// The number of jobs the next take would drain: `ceil(eligible /
+    /// drainers)` clamped to `[1, max_batch]`, where `eligible` counts
+    /// the queued jobs outside a retry backoff window.
     pub fn batch_size(&self) -> usize {
-        self.controller.batch_size()
+        self.share(self.clock.now_ms())
+    }
+
+    /// [`SimulationService::batch_size`] at clock time `now`.
+    fn share(&self, now: u64) -> usize {
+        let eligible = self.queue.iter().filter(|j| j.not_before_ms <= now).count();
+        eligible
+            .div_ceil(self.drainers)
+            .min(self.config.batch.max_batch)
+            .max(1)
+    }
+
+    /// Sets the number of drain loops sharing the queue (the
+    /// [`crate::ServePolicy::workers`] of a [`crate::ServiceHandle`]).
+    pub(crate) fn set_drainers(&mut self, drainers: usize) {
+        self.drainers = drainers.max(1);
     }
 
     /// The clock the service schedules against.
@@ -808,14 +827,14 @@ impl SimulationService {
         }
     }
 
-    /// Drains one admission-controlled batch and makes every decision
-    /// that needs the service: deadlines and backoff windows, cache
-    /// hits (settled here), dedup against the leaders of every batch in
-    /// flight, the fault sieve, and grouping into engine fan-outs with
-    /// their cost predictions. `None` when no queued job is eligible.
+    /// Drains one batch of [`SimulationService::batch_size`] jobs and
+    /// makes every decision that needs the service: deadlines and backoff
+    /// windows, cache hits (settled here), dedup against the leaders of
+    /// every batch in flight, the fault sieve, and grouping into engine
+    /// fan-outs with their cost predictions. `None` when no queued job is eligible.
     pub(crate) fn take_batch(&mut self) -> Option<Batch> {
         let now = self.clock.now_ms();
-        let want = self.controller.batch_size();
+        let want = self.share(now);
         let mut batch: Vec<PendingJob> = Vec::new();
         let rounds = self.queue.len();
         for _ in 0..rounds {
@@ -842,7 +861,6 @@ impl SimulationService {
         if batch.is_empty() {
             return None;
         }
-        let taken = batch.len();
         {
             let mut phases = lock(&self.phases);
             for job in &batch {
@@ -941,7 +959,6 @@ impl SimulationService {
             work.push(Work::Expectation { jobs, units });
         }
         Some(Batch {
-            taken,
             work,
             fault: self.config.fault.clone(),
             clock: Arc::clone(&self.clock),
@@ -964,14 +981,11 @@ impl SimulationService {
             .collect()
     }
 
-    /// Books an executed batch: counters, cost and controller
-    /// observations, and every job's outcome — cache insert and parked
-    /// duplicates on success, the retry → degrade → fail ladder on
-    /// failure.
+    /// Books an executed batch: counters, cost observations, and every
+    /// job's outcome — cache insert and parked duplicates on success, the
+    /// retry → degrade → fail ladder on failure.
     pub(crate) fn settle(&mut self, executed: Executed) {
         let Executed {
-            taken,
-            elapsed_ms,
             outcomes,
             observed,
             tally,
@@ -986,7 +1000,6 @@ impl SimulationService {
         for (job, outcome) in outcomes {
             self.dispose(job, outcome);
         }
-        self.controller.observe(taken, elapsed_ms);
         self.stats.batches += 1;
     }
 
@@ -1098,10 +1111,7 @@ impl Batch {
     /// isolation re-runs of any fan-out that fails. Touches no service
     /// state.
     pub(crate) fn execute(self) -> Executed {
-        let started = Instant::now();
         let mut out = Executed {
-            taken: self.taken,
-            elapsed_ms: 0.0,
             outcomes: Vec::new(),
             observed: Vec::new(),
             tally: ServiceStats::default(),
@@ -1128,7 +1138,6 @@ impl Batch {
                 }
             }
         }
-        out.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
         out
     }
 }
@@ -1604,16 +1613,100 @@ mod tests {
         assert_eq!(svc.stats().cancellations, 1);
     }
 
+    /// Queues `n` distinct seeded Bell histograms.
+    fn queue_bells(svc: &mut SimulationService, n: u64) {
+        for seed in 0..n {
+            svc.submit(SimRequest::histogram(bell(), 20).with_seed(seed))
+                .unwrap();
+        }
+    }
+
+    /// Drains the queue one take at a time, returning each take's size
+    /// and checking that `batch_size()` announced it.
+    fn take_sizes(svc: &mut SimulationService) -> Vec<usize> {
+        let mut sizes = Vec::new();
+        loop {
+            let announced = svc.batch_size();
+            let before = svc.queue_len();
+            let Some(batch) = svc.take_batch() else {
+                return sizes;
+            };
+            let taken = before - svc.queue_len();
+            assert_eq!(announced, taken, "batch_size() is the next take");
+            sizes.push(taken);
+            svc.settle(batch.execute());
+        }
+    }
+
+    #[test]
+    fn a_sync_take_drains_everything_eligible_up_to_the_cap() {
+        let mut svc = SimulationService::new(ServiceConfig {
+            batch: BatchPolicy { max_batch: 4 },
+            ..ServiceConfig::default()
+        });
+        queue_bells(&mut svc, 10);
+        assert_eq!(take_sizes(&mut svc), vec![4, 4, 2]);
+        assert_eq!(svc.stats().completed, 10);
+        assert_eq!(svc.batch_size(), 1, "an empty queue still takes 1");
+    }
+
+    #[test]
+    fn drainers_split_the_eligible_queue() {
+        let mut svc = SimulationService::with_defaults();
+        svc.set_drainers(2);
+        queue_bells(&mut svc, 16);
+        assert_eq!(svc.batch_size(), 8);
+        // each take halves what is left: 16 -> 8 -> 4 -> 2 -> 1 -> 1
+        assert_eq!(take_sizes(&mut svc), vec![8, 4, 2, 1, 1]);
+    }
+
+    #[test]
+    fn jobs_in_backoff_do_not_count_toward_the_share() {
+        let clock = ManualClock::shared();
+        let mut svc = SimulationService::with_clock(ServiceConfig::default(), clock.clone());
+        svc.set_drainers(2);
+        queue_bells(&mut svc, 10);
+        let later = clock.now_ms() + 100;
+        for job in svc.queue.iter_mut().take(6) {
+            job.not_before_ms = later;
+        }
+        // 4 eligible of 10 queued: a share of 2, taken past the 6 waiting
+        assert_eq!(svc.batch_size(), 2);
+        assert_eq!(take_sizes(&mut svc), vec![2, 1, 1]);
+        assert_eq!(svc.queue_len(), 6);
+        clock.advance_ms(100);
+        assert_eq!(take_sizes(&mut svc), vec![3, 2, 1]);
+        assert_eq!(svc.stats().completed, 10);
+    }
+
+    #[test]
+    fn the_cap_bounds_a_drainer_share() {
+        let mut svc = SimulationService::new(ServiceConfig {
+            batch: BatchPolicy { max_batch: 8 },
+            ..ServiceConfig::default()
+        });
+        svc.set_drainers(3);
+        queue_bells(&mut svc, 40);
+        // ceil(40 / 3) = 14 is cut to the cap until a third of the rest fits
+        assert_eq!(take_sizes(&mut svc), vec![8, 8, 8, 6, 4, 2, 2, 1, 1]);
+        assert_eq!(svc.stats().completed, 40);
+    }
+
+    #[test]
+    fn zero_drainers_count_as_one() {
+        let mut svc = SimulationService::with_defaults();
+        svc.set_drainers(0);
+        queue_bells(&mut svc, 5);
+        assert_eq!(svc.batch_size(), 5);
+        assert_eq!(take_sizes(&mut svc), vec![5]);
+    }
+
     #[test]
     fn deadlines_are_enforced_at_batch_boundaries() {
         let clock = ManualClock::shared();
         let mut svc = SimulationService::with_clock(
             ServiceConfig {
-                batch: BatchPolicy {
-                    min_batch: 1,
-                    max_batch: 1,
-                    ..BatchPolicy::default()
-                },
+                batch: BatchPolicy { max_batch: 1 },
                 fault: Some(FaultPlan {
                     latency_ms: 10,
                     ..FaultPlan::default()

@@ -4,7 +4,7 @@
 //! set {X, Y, Z, H, S, Sdg, CNOT, CZ}. Rotation gates are accepted at
 //! Clifford angles (tracking the global phase in omega); merged `U1`
 //! matrices are recognized against the 24-element single-qubit Clifford
-//! group, so `optimize_for_bgls` output stays runnable on stabilizer
+//! group, so `fuse` output stays runnable on stabilizer
 //! states.
 
 use crate::chform::ChForm;

@@ -3,9 +3,7 @@
 //! basis amplitude must agree (including global phase, since the CH form
 //! tracks omega exactly).
 
-use bgls_circuit::{
-    generate_random_circuit, optimize_for_bgls, Gate, Operation, Qubit, RandomCircuitParams,
-};
+use bgls_circuit::{fuse, generate_random_circuit, Gate, Operation, Qubit, RandomCircuitParams};
 use bgls_core::{BglsState, BitString};
 use bgls_stabilizer::ChForm;
 use bgls_statevector::StateVector;
@@ -87,7 +85,7 @@ proptest! {
     }
 
     /// H/S/CNOT-only circuits (the paper's Fig. 3 workload) agree, and the
-    /// merged (optimize_for_bgls) form agrees too — merged single-qubit
+    /// merged (`fuse`) form agrees too — merged single-qubit
     /// Clifford products are re-recognized from their matrices.
     #[test]
     fn optimized_clifford_circuits_match_dense(
@@ -99,7 +97,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = generate_random_circuit(&params, &mut rng);
         assert_backends_agree(&circuit, n, 1e-8);
-        let merged = optimize_for_bgls(&circuit);
+        let merged = fuse(&circuit);
         assert_backends_agree(&merged, n, 1e-8);
     }
 

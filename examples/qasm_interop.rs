@@ -6,7 +6,7 @@
 //! cargo run --example qasm_interop
 //! ```
 
-use bgls_circuit::{from_qasm, optimize_for_bgls, to_qasm};
+use bgls_circuit::{from_qasm, fuse, to_qasm};
 use bgls_core::Simulator;
 use bgls_statevector::StateVector;
 
@@ -45,11 +45,11 @@ fn main() {
         println!("  {bits}: {count:>5}  ({:.3})", count as f64 / 4000.0);
     }
 
-    // round-trip: optimize for BGLS, re-export what stays expressible
+    // round-trip: fuse single-qubit runs, re-export what stays expressible
     let stripped = circuit.without_measurements();
-    let merged = optimize_for_bgls(&stripped);
+    let merged = fuse(&stripped);
     println!(
-        "\noptimize_for_bgls: {} ops -> {} ops",
+        "\nfuse: {} ops -> {} ops",
         stripped.num_operations(),
         merged.num_operations()
     );

@@ -142,15 +142,11 @@ fn chaos_outcomes_are_reproducible_bit_for_bit() {
         ..FaultPlan::seeded(99)
     };
     let run = || {
-        // Pin the batch size and the clock: the PI controller's
-        // wall-time latency measurements must not steer batch
-        // composition differently between the two runs.
+        // Pin the batch cap and the clock: under a manual clock the
+        // retry backoff windows, and so the share of the queue each take
+        // drains, are the same in both runs.
         let config = ServiceConfig {
-            batch: BatchPolicy {
-                min_batch: 8,
-                max_batch: 8,
-                ..BatchPolicy::default()
-            },
+            batch: BatchPolicy { max_batch: 8 },
             ..chaos_config(fault.clone())
         };
         let mut svc = SimulationService::with_clock(config, ManualClock::shared());
@@ -462,11 +458,7 @@ fn deadline_misses_surface_typed_errors_under_latency() {
     };
     let config = ServiceConfig {
         fault: Some(fault),
-        batch: BatchPolicy {
-            min_batch: 1,
-            max_batch: 1,
-            ..BatchPolicy::default()
-        },
+        batch: BatchPolicy { max_batch: 1 },
         default_deadline_ms: Some(10),
         ..ServiceConfig::default()
     };
@@ -513,11 +505,7 @@ fn cancellation_resolves_tickets_with_the_typed_error() {
     };
     let config = ServiceConfig {
         fault: Some(fault),
-        batch: BatchPolicy {
-            min_batch: 1,
-            max_batch: 1,
-            ..BatchPolicy::default()
-        },
+        batch: BatchPolicy { max_batch: 1 },
         ..ServiceConfig::default()
     };
     let handle = ServiceHandle::start(

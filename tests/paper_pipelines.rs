@@ -5,9 +5,7 @@ use bgls_suite::apps::{
     brute_force_maxcut, cut_value, empirical_distribution, ghz_random_cnot_circuit, overlap,
     solve_maxcut_qaoa_mps, Graph,
 };
-use bgls_suite::circuit::{
-    from_qasm, optimize_for_bgls, substitute_gate, to_qasm, Gate, Operation, Qubit,
-};
+use bgls_suite::circuit::{from_qasm, fuse, substitute_gate, to_qasm, Gate, Operation, Qubit};
 use bgls_suite::core::Simulator;
 use bgls_suite::mps::LazyNetworkState;
 use bgls_suite::stabilizer::near_clifford_simulator;
@@ -150,7 +148,7 @@ fn sec322_optimizer_preserves_sampling_distribution() {
     };
     let mut rng = StdRng::seed_from_u64(30);
     let raw = generate_random_circuit(&params, &mut rng);
-    let merged = optimize_for_bgls(&raw);
+    let merged = fuse(&raw);
     assert!(merged.num_operations() < raw.num_operations());
 
     let d_raw = StateVector::from_circuit(&raw, 4)

@@ -418,6 +418,10 @@ impl BglsState for AnyState {
         dispatch!(self, s => s.expectation(observable))
     }
 
+    fn expectations(&self, observables: &[&PauliString]) -> Result<Vec<f64>, SimError> {
+        dispatch!(self, s => s.expectations(observables))
+    }
+
     fn channels_are_deterministic(&self) -> bool {
         dispatch!(self, s => s.channels_are_deterministic())
     }
@@ -757,6 +761,25 @@ mod tests {
                     state.probability(*c).to_bits(),
                     "{kind}: candidate {c}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn expectations_match_per_term_on_every_backend() {
+        let n = 3;
+        let strings: Vec<PauliString> = ["I", "Z0 Z2", "X0 X1 X2", "Z1", "Y0 Y1", "X0 Z1"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let refs: Vec<&PauliString> = strings.iter().collect();
+        for kind in BackendKind::all() {
+            let state = simulator_for(kind, n).final_state(&ghz(n)).unwrap();
+            let batched = state.expectations(&refs).unwrap();
+            assert_eq!(batched.len(), strings.len());
+            for (p, v) in strings.iter().zip(&batched) {
+                let single = state.expectation(p).unwrap();
+                assert_eq!(v.to_bits(), single.to_bits(), "{kind}: {p}");
             }
         }
     }

@@ -1,12 +1,16 @@
 //! Bench: the Pauli-observable expectation engine.
 //!
-//! Four workloads, one per evaluation strategy the subsystem ships:
+//! Five workloads, one per evaluation strategy the subsystem ships:
 //!
 //! * `exact_tfim` — exact transverse-field Ising energy
 //!   (`Simulator::expectation_value`) of a Trotter-style layer on the
-//!   dense state vector (16 qubits, 31 terms, amplitude inner products)
-//!   and the exact chain MPS (24 qubits, transfer-matrix sweeps riding
-//!   the GEMM layer);
+//!   dense state vector (16 qubits, 31 terms in 17 amplitude passes, one
+//!   per X-mask) and the exact chain MPS (24 qubits, transfer-matrix
+//!   sweeps riding the GEMM layer);
+//! * `exact_qaoa` — the exact MaxCut energy of a one-layer 14-qubit QAOA
+//!   binding on the dense state vector, the per-job work of the
+//!   `qaoa_sweep` benchmark workload: `Rzz` gates as diagonal phase ops
+//!   and every (diagonal) term in one amplitude pass;
 //! * `exact_clifford` — a 40-qubit random-Clifford state scored against
 //!   a 40-term Z/X-string battery on the CH form (`U_C`-conjugation,
 //!   `O(n^2 / 64)` per term, no amplitudes);
@@ -19,8 +23,9 @@
 //!
 //! The recorded baseline lives in `BENCH_observable_expectation.json`.
 
+use bgls_apps::{maxcut_hamiltonian, qaoa_maxcut_circuit, Graph};
 use bgls_apps::{tfim_layer_circuit, transverse_field_ising};
-use bgls_circuit::{PauliString, PauliSum};
+use bgls_circuit::{ParamResolver, PauliString, PauliSum};
 use bgls_core::{BglsState, Simulator};
 use bgls_linalg::C64;
 use bgls_mps::{ChainMps, LazyNetworkState, MpsOptions};
@@ -46,6 +51,22 @@ fn bench_exact_tfim(c: &mut Criterion) {
     group.bench_function("mps_24", |b| {
         let sim = Simulator::new(ChainMps::zero(n_mps, MpsOptions::exact()));
         b.iter(|| sim.expectation_value(&circuit_mps, &h_mps).unwrap());
+    });
+    group.finish();
+}
+
+fn bench_exact_qaoa(c: &mut Criterion) {
+    let mut group = c.benchmark_group("exact_qaoa");
+    group.sample_size(10);
+    // the qaoa_sweep ansatz: G(14, 0.3) graph, one QAOA layer
+    let n = 14;
+    let graph = Graph::erdos_renyi(n, 0.3, &mut StdRng::seed_from_u64(57));
+    let binding = ParamResolver::from_pairs([("gamma0", 0.7), ("beta0", 0.4)]);
+    let circuit = qaoa_maxcut_circuit(&graph, 1).resolve(&binding);
+    let h = maxcut_hamiltonian(&graph);
+    group.bench_function("statevector_14", |b| {
+        let sim = Simulator::new(StateVector::zero(n));
+        b.iter(|| sim.expectation_value(&circuit, &h).unwrap());
     });
     group.finish();
 }
@@ -135,6 +156,7 @@ fn bench_lazy_doubled(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_exact_tfim,
+    bench_exact_qaoa,
     bench_exact_clifford,
     bench_shot_groups,
     bench_lazy_doubled

@@ -541,11 +541,13 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// state: `Re <psi| O |psi>` (or `Re Tr(rho O)` on mixed-state
     /// backends), with no sampling involved.
     ///
-    /// The state is evolved **once** and every term of the sum is
-    /// evaluated on it through [`BglsState::expectation`] — the
-    /// per-backend exact implementations (amplitude inner product,
-    /// density-matrix trace, stabilizer conjugation, MPS transfer
-    /// matrix, doubled-network contraction). For a Hermitian observable
+    /// The state is evolved **once** and the terms of the sum are
+    /// evaluated on it by one [`BglsState::expectations`] call per
+    /// frontier node — the per-backend exact implementations (amplitude
+    /// inner products, one pass per distinct X-mask, on the state
+    /// vector; density-matrix trace, stabilizer conjugation, MPS
+    /// transfer matrix, doubled-network contraction per term elsewhere).
+    /// For a Hermitian observable
     /// the imaginary part vanishes exactly, so the returned real part is
     /// the full answer.
     ///
@@ -577,10 +579,12 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         self.check_runnable(circuit)?;
         let circuit = self.prepared(circuit);
         let nodes = self.expectation_frontier(&circuit)?;
+        let strings: Vec<&PauliString> = observable.terms().iter().map(|(_, p)| p).collect();
         let mut acc = C64::ZERO;
         for (w, state) in &nodes {
-            for (c, p) in observable.terms() {
-                acc += *c * C64::real(*w * state.expectation(p)?);
+            let values = state.expectations(&strings)?;
+            for ((c, _), v) in observable.terms().iter().zip(values) {
+                acc += *c * C64::real(*w * v);
             }
         }
         Ok(acc.re)

@@ -140,9 +140,32 @@ pub trait BglsState: Clone {
     ///
     /// Backends without expectation support return
     /// [`SimError::Unsupported`] (the default).
+    ///
+    /// Callers with several terms should prefer
+    /// [`BglsState::expectations`], which backends may answer in fewer
+    /// passes over the state.
     fn expectation(&self, observable: &PauliString) -> Result<f64, SimError> {
         let _ = observable;
         Err(SimError::Unsupported("Pauli expectation".into()))
+    }
+
+    /// Exact expectation values of several Pauli strings on the current
+    /// state, in order — the batched form of [`BglsState::expectation`]
+    /// that the exact expectation walk calls once per frontier node.
+    ///
+    /// The default implementation loops over [`BglsState::expectation`];
+    /// the dense state vector overrides it with one pass over the
+    /// amplitudes per distinct X-mask, so a diagonal observable (all
+    /// terms Z-strings, such as a MaxCut Hamiltonian) costs one pass
+    /// however many terms it has.
+    ///
+    /// **Determinism contract:** as for
+    /// [`BglsState::probabilities_batch`], every value must be
+    /// bit-identical to what a standalone `expectation` call returns for
+    /// that term, and the first error (in term order) is the one
+    /// returned.
+    fn expectations(&self, observables: &[&PauliString]) -> Result<Vec<f64>, SimError> {
+        observables.iter().map(|p| self.expectation(p)).collect()
     }
 
     /// True when [`BglsState::apply_kraus`] applies the *whole* channel

@@ -1,10 +1,12 @@
 //! Runtime-ISA-dispatched dense gate and reduction microkernels.
 //!
 //! The dense backends (state vector, vectorized density matrix) spend
-//! essentially all of their time in three kernel shapes: 1q-gate butterflies,
-//! 2q-gate 4-term updates, and `|z|^2` reductions. This module provides those
-//! kernels in split-re/im SIMD form for AVX2, AVX-512, and NEON, plus a safe
-//! portable scalar path, and selects an implementation **once at startup** via
+//! essentially all of their time in four kernel shapes: 1q-gate butterflies,
+//! 2q-gate 4-term updates, diagonal-gate phase multiplies, and `|z|^2`
+//! reductions. This module provides those kernels in split-re/im SIMD form
+//! for AVX2, AVX-512, and NEON (which runs the diagonal multiply as the
+//! scalar loop), plus a safe portable scalar path, and
+//! selects an implementation **once at startup** via
 //! `is_x86_feature_detected!` / `is_aarch64_feature_detected!`. That replaces
 //! the old `-C target-cpu=native` build flag: one shipped binary now runs the
 //! wide kernels wherever the host supports them and falls back to the scalar
@@ -303,6 +305,55 @@ pub fn apply_2q_quad(
     dispatch!(apply_2q_quad(a00, a01, a10, a11, u))
 }
 
+/// Applies a diagonal gate: `s[i] = d[g(i)] * s[i]`, where the gate index
+/// `g(i)` has bit 1 set when `i & mh != 0` and bit 0 set when `i & ml != 0`.
+///
+/// Each mask is one index bit or 0 (a gate bit that is constant over the
+/// slice — the caller folds its value into `d`), so one kernel covers 1q and
+/// 2q diagonal gates at any bit position and a plain complex scale (`mh = ml
+/// = 0`). Every product is the canonical `cmul(d[g], a)`, which is exactly
+/// the one nonzero term of the dense kernels' row sum for a diagonal matrix.
+///
+/// # Panics
+/// Panics unless each mask is 0 or a single bit, the two differ when both
+/// are set, and `s.len()` is a multiple of twice the higher mask bit.
+pub fn apply_diag(s: &mut [C64], mh: usize, ml: usize, d: &[C64; 4]) {
+    assert!(
+        mh.count_ones() <= 1 && ml.count_ones() <= 1,
+        "diagonal masks must be single bits or 0"
+    );
+    assert!(mh & ml == 0, "diagonal masks must differ");
+    assert_eq!(
+        s.len() % (mh.max(ml) << 1).max(1),
+        0,
+        "slice not a multiple of twice the highest mask bit"
+    );
+    if s.is_empty() {
+        return;
+    }
+    dispatch!(apply_diag(s, mh, ml, d))
+}
+
+/// Gate index of amplitude `i` under the [`apply_diag`] masks.
+#[inline(always)]
+fn diag_index(i: usize, mh: usize, ml: usize) -> usize {
+    (((i & mh != 0) as usize) << 1) | ((i & ml != 0) as usize)
+}
+
+/// Length of the runs over which [`apply_diag`]'s per-lane coefficients are
+/// constant for a `w`-complex vector: up to the lowest mask bit at or above
+/// the vector width (bits below it vary inside each vector), or the whole
+/// slice when there is none. The slice length is a multiple of the run.
+#[inline(always)]
+fn diag_run(len: usize, mh: usize, ml: usize, w: usize) -> usize {
+    let outer = (mh | ml) & !(w - 1);
+    if outer == 0 {
+        len
+    } else {
+        len.min(outer & outer.wrapping_neg())
+    }
+}
+
 /// Sum of `|z|^2` over the slice through the canonical 8-lane accumulator
 /// (see the module docs) — bit-identical on every ISA path.
 pub fn sum_norm_sqr(s: &[C64]) -> f64 {
@@ -379,6 +430,12 @@ mod scalar {
             a01[i] = cmul(u[4], x00) + cmul(u[5], x01) + cmul(u[6], x10) + cmul(u[7], x11);
             a10[i] = cmul(u[8], x00) + cmul(u[9], x01) + cmul(u[10], x10) + cmul(u[11], x11);
             a11[i] = cmul(u[12], x00) + cmul(u[13], x01) + cmul(u[14], x10) + cmul(u[15], x11);
+        }
+    }
+
+    pub(super) fn apply_diag(s: &mut [C64], mh: usize, ml: usize, d: &[C64; 4]) {
+        for (i, a) in s.iter_mut().enumerate() {
+            *a = cmul(d[super::diag_index(i, mh, ml)], *a);
         }
     }
 
@@ -601,6 +658,41 @@ mod avx2 {
         }
     }
 
+    /// Two vectors (four complexes) per step, so lane bits 0 and 1 may both
+    /// be mask bits and each step loads its coefficients once.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn apply_diag(s: &mut [C64], mh: usize, ml: usize, d: &[C64; 4]) {
+        let run = super::diag_run(s.len(), mh, ml, 4);
+        if !run.is_multiple_of(4) {
+            scalar::apply_diag(s, mh, ml, d);
+            return;
+        }
+        // Per run-level gate index: coefficients of the two vectors' lanes.
+        let lane = |j: usize| super::diag_index(j, mh, ml);
+        let mut w = [[(_mm256_setzero_pd(), _mm256_setzero_pd()); 2]; 4];
+        for (g, wg) in w.iter_mut().enumerate() {
+            for (k, wk) in wg.iter_mut().enumerate() {
+                *wk = coeff2(d[g | lane(2 * k)], d[g | lane(2 * k + 1)]);
+            }
+        }
+        for (r, chunk) in s.chunks_exact_mut(run).enumerate() {
+            let [w0, w1] = w[super::diag_index(r * run, mh, ml)];
+            let f = as_f64_mut(chunk);
+            let mut i = 0;
+            while i < f.len() {
+                // SAFETY: the run is a multiple of 4, so i + 8 <= f.len().
+                unsafe {
+                    let p = f.as_mut_ptr().add(i);
+                    let a0 = _mm256_loadu_pd(p);
+                    let a1 = _mm256_loadu_pd(p.add(4));
+                    _mm256_storeu_pd(p, cmul2(a0, w0));
+                    _mm256_storeu_pd(p.add(4), cmul2(a1, w1));
+                }
+                i += 8;
+            }
+        }
+    }
+
     #[target_feature(enable = "avx2")]
     pub(super) fn sum_norm_sqr(s: &[C64]) -> f64 {
         let f = as_f64(s);
@@ -798,6 +890,46 @@ mod avx512 {
         }
     }
 
+    /// Two vectors (eight complexes) per step, so lane bits 0-2 may be mask
+    /// bits and each step loads its coefficients once.
+    #[target_feature(enable = "avx512f,avx512vl,avx2")]
+    pub(super) fn apply_diag(s: &mut [C64], mh: usize, ml: usize, d: &[C64; 4]) {
+        let run = super::diag_run(s.len(), mh, ml, 8);
+        if !run.is_multiple_of(8) {
+            avx2::apply_diag(s, mh, ml, d);
+            return;
+        }
+        // Per run-level gate index: coefficients of the two vectors' lanes.
+        let lane = |j: usize| super::diag_index(j, mh, ml);
+        let mut w = [[(_mm512_setzero_pd(), _mm512_setzero_pd()); 2]; 4];
+        for (g, wg) in w.iter_mut().enumerate() {
+            for (k, wk) in wg.iter_mut().enumerate() {
+                let c = |j: usize| d[g | lane(4 * k + j)];
+                let (c0, c1, c2, c3) = (c(0), c(1), c(2), c(3));
+                *wk = (
+                    _mm512_set_pd(c3.re, c3.re, c2.re, c2.re, c1.re, c1.re, c0.re, c0.re),
+                    _mm512_set_pd(c3.im, -c3.im, c2.im, -c2.im, c1.im, -c1.im, c0.im, -c0.im),
+                );
+            }
+        }
+        for (r, chunk) in s.chunks_exact_mut(run).enumerate() {
+            let [w0, w1] = w[super::diag_index(r * run, mh, ml)];
+            let f = as_f64_mut(chunk);
+            let mut i = 0;
+            while i < f.len() {
+                // SAFETY: the run is a multiple of 8, so i + 16 <= f.len().
+                unsafe {
+                    let p = f.as_mut_ptr().add(i);
+                    let a0 = _mm512_loadu_pd(p);
+                    let a1 = _mm512_loadu_pd(p.add(8));
+                    _mm512_storeu_pd(p, cmul4(a0, w0));
+                    _mm512_storeu_pd(p.add(8), cmul4(a1, w1));
+                }
+                i += 16;
+            }
+        }
+    }
+
     #[target_feature(enable = "avx512f")]
     pub(super) fn sum_norm_sqr(s: &[C64]) -> f64 {
         let f = as_f64(s);
@@ -967,6 +1099,13 @@ mod neon {
         }
     }
 
+    /// One complex per vector gives no lanes to share a coefficient load,
+    /// so the scalar loop (same `cmul`, same bits) serves.
+    #[target_feature(enable = "neon")]
+    pub(super) fn apply_diag(s: &mut [C64], mh: usize, ml: usize, d: &[C64; 4]) {
+        scalar::apply_diag(s, mh, ml, d)
+    }
+
     #[target_feature(enable = "neon")]
     pub(super) fn sum_norm_sqr(s: &[C64]) -> f64 {
         let f = as_f64(s);
@@ -1121,6 +1260,58 @@ mod tests {
             apply_2q_quad(q0, q1, q2, q3, &u);
             bits(&v)
         });
+    }
+
+    #[test]
+    fn diagonal_kernel_bit_identical_across_isas() {
+        let d = test_matrix_2q(8);
+        let d = [d[0], d[5], d[10], d[15]];
+        let mut masks = vec![(0, 0)];
+        for b in 0..7 {
+            masks.push((0, 1 << b));
+            for a in b + 1..7 {
+                masks.push((1 << a, 1 << b));
+                masks.push((1 << b, 1 << a));
+            }
+        }
+        for (mh, ml) in masks {
+            let base = rng_amps(1 << 7, 70 + (mh | ml) as u64);
+            assert_isa_bit_identical(|| {
+                let mut s = base.clone();
+                apply_diag(&mut s, mh, ml, &d);
+                bits(&s)
+            });
+        }
+        // Unmasked slices of every short length exercise the narrow paths.
+        for len in [1usize, 2, 3, 5, 33] {
+            let base = rng_amps(len, 90 + len as u64);
+            assert_isa_bit_identical(|| {
+                let mut s = base.clone();
+                apply_diag(&mut s, 0, 0, &d);
+                bits(&s)
+            });
+        }
+    }
+
+    #[test]
+    fn diagonal_kernel_matches_direct_formula() {
+        let _guard = ISA_LOCK.lock().unwrap();
+        force_isa(Isa::Scalar).unwrap();
+        let d = test_matrix_1q(12);
+        let mut s = rng_amps(16, 13);
+        let orig = s.clone();
+        apply_diag(&mut s, 1 << 3, 1 << 1, &d);
+        for (i, (got, a)) in s.iter().zip(&orig).enumerate() {
+            let g = ((i >> 3) & 1) << 1 | ((i >> 1) & 1);
+            assert_eq!(*got, d[g] * *a, "index {i}");
+        }
+        force_isa(detected_isa()).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "single bits")]
+    fn diagonal_kernel_rejects_multi_bit_masks() {
+        apply_diag(&mut [C64::ONE; 8], 0b110, 0, &[C64::ONE; 4]);
     }
 
     #[test]

@@ -222,9 +222,12 @@ impl Matrix {
 
     /// True when every off-diagonal entry has magnitude at most `tol`
     /// (square matrices only; non-square matrices are never diagonal).
+    /// Each part is bounded before the modulus, whose square underflows to
+    /// 0 below about 1e-154, so `tol = 0` accepts only exact zeros.
     pub fn is_diagonal(&self, tol: f64) -> bool {
+        let small = |z: C64| z.re.abs() <= tol && z.im.abs() <= tol && z.abs() <= tol;
         self.is_square()
-            && (0..self.rows).all(|i| (0..self.cols).all(|j| i == j || self[(i, j)].abs() <= tol))
+            && (0..self.rows).all(|i| (0..self.cols).all(|j| i == j || small(self[(i, j)])))
     }
 
     /// Matrix power by repeated squaring (square matrices only).
@@ -327,6 +330,13 @@ mod tests {
         assert!(Matrix::from_real(&[&[2.0, 0.0], &[0.0, -3.0]]).is_diagonal(0.0));
         assert!(!pauli_x().is_diagonal(1e-12));
         assert!(!Matrix::zeros(2, 3).is_diagonal(1.0));
+        // |z|^2 of these entries underflows to 0; the entries are not 0.
+        let mut tiny = Matrix::identity(2);
+        tiny[(0, 1)] = C64::new(1e-200, 0.0);
+        assert!(!tiny.is_diagonal(0.0));
+        tiny[(0, 1)] = C64::new(0.0, -1e-300);
+        assert!(!tiny.is_diagonal(1e-301));
+        assert!(tiny.is_diagonal(1e-300));
     }
 
     fn pauli_y() -> Matrix {

@@ -27,6 +27,17 @@
 //! the group is cache-resident, turning k full-buffer memory passes into
 //! one. Because gates act elementwise on disjoint shard groups, fusion is
 //! bit-identical to gate-by-gate application.
+//!
+//! A 1q/2q matrix whose off-diagonal entries are exactly zero (`Rz`, `T`,
+//! `S`, `Cz`, `CPhase`, `Rzz`, diagonal custom matrices) compiles to a
+//! **diagonal op**: one complex multiply per amplitude
+//! ([`bgls_linalg::dispatch::apply_diag`]) instead of a butterfly. It never
+//! moves amplitudes between shards — a qubit on a shard-index bit only
+//! picks which diagonal entries a shard sees — so it is shard-local at any
+//! placement and never splits a fused segment. Its nonzero output bits
+//! equal the dense kernel's, whose extra terms are products with exact
+//! zeros that add `±0`; only the sign of an exactly-zero component may
+//! differ, and no probability, norm or expectation can see that.
 
 use bgls_linalg::{dispatch, Matrix, C64};
 use rayon::prelude::*;
@@ -222,6 +233,11 @@ impl Mask {
 /// the [`bgls_linalg::dispatch`] convention.
 #[derive(Clone)]
 enum ShardOp {
+    /// Exactly diagonal 1q/2q gate: amplitude `i` is multiplied by
+    /// `d[g(i)]`, gate bit 1 set when `i & mh != 0` and bit 0 when
+    /// `i & ml != 0` (`mh = 0` for a 1q gate). Masks are absolute index
+    /// bits; shard-local at every placement.
+    Diag { mh: usize, ml: usize, d: [C64; 4] },
     /// 1q gate below the shard boundary.
     Local1q { q: usize, u: [C64; 4] },
     /// 1q gate on shard-index bit `b`.
@@ -237,7 +253,9 @@ enum ShardOp {
 impl ShardOp {
     fn mask(&self) -> Mask {
         match *self {
-            ShardOp::Local1q { .. } | ShardOp::Local2q { .. } => Mask::default(),
+            ShardOp::Diag { .. } | ShardOp::Local1q { .. } | ShardOp::Local2q { .. } => {
+                Mask::default()
+            }
             ShardOp::Cross1q { b, .. } | ShardOp::Mixed2q { b, .. } => Mask::one(b),
             ShardOp::Cross2q { bh, bl, .. } => Mask::two(bl, bh),
         }
@@ -271,8 +289,26 @@ fn u16_of(u: &Matrix) -> [C64; 16] {
 }
 
 /// Classifies a 1q/2q gate against the shard boundary `sb`; `None` for any
-/// other arity.
+/// other arity. Exactly diagonal matrices (off-diagonals `== 0.0`, not
+/// merely small) become [`ShardOp::Diag`] wherever their qubits sit.
 fn compile_op(u: &Matrix, qubits: &[usize], sb: usize) -> Option<ShardOp> {
+    if matches!(qubits.len(), 1 | 2) && u.is_diagonal(0.0) {
+        let d = |g: usize| u[(g, g)];
+        return Some(match *qubits {
+            [q] => ShardOp::Diag {
+                mh: 0,
+                ml: 1 << q,
+                d: [d(0), d(1), d(0), d(1)],
+            },
+            // First listed qubit = gate bit 1, whichever memory bit it is.
+            [qa, qb] => ShardOp::Diag {
+                mh: 1 << qa,
+                ml: 1 << qb,
+                d: [d(0), d(1), d(2), d(3)],
+            },
+            _ => unreachable!("arity checked above"),
+        });
+    }
     match *qubits {
         [q] => Some(if q < sb {
             ShardOp::Local1q { q, u: u4_of(u) }
@@ -388,6 +424,17 @@ unsafe fn apply_to_group(
     op: &ShardOp,
 ) {
     match op {
+        ShardOp::Diag { mh, ml, d } => {
+            let local = shard_len - 1;
+            for &s in &idx[..1 << p] {
+                // Gate bits on shard-index qubits are constant over the
+                // shard: fold them into the entries the shard sees.
+                let base = s * shard_len;
+                let g0 = (((base & mh != 0) as usize) << 1) | ((base & ml != 0) as usize);
+                let ds = [d[g0], d[g0 | 1], d[g0 | 2], d[g0 | 3]];
+                dispatch::apply_diag(shared.shard(s, shard_len), mh & local, ml & local, &ds);
+            }
+        }
         ShardOp::Local1q { q, u } => {
             for &s in &idx[..1 << p] {
                 dispatch::apply_1q_slice(shared.shard(s, shard_len), *q, u);
@@ -547,25 +594,98 @@ pub(crate) fn tree_fold_f64(mut parts: Vec<f64>) -> f64 {
     parts[0]
 }
 
-/// Complex variant of [`tree_fold_f64`] — same fixed fold order.
-pub(crate) fn tree_fold_c64(mut parts: Vec<C64>) -> C64 {
-    if parts.is_empty() {
-        return C64::ZERO;
-    }
-    let mut n = parts.len();
-    while n > 1 {
-        let half = n / 2;
-        for i in 0..half {
-            parts[i] = parts[2 * i] + parts[2 * i + 1];
+/// Row `k` of the Z-parity walk's sign table: for each term, the sign bit
+/// (bit 63) that flips when the index steps from `i - 1` to `i`, where
+/// `k - 1` is the number of trailing zeros of `i`. The step flips index
+/// bits `0..k`, so the flip is the parity of `z & ((1 << k) - 1)`. Row 0
+/// (a shard's first index) flips nothing.
+fn parity_flips(zs: &[u64]) -> Vec<u64> {
+    let m = zs.len();
+    let mut flips = vec![0u64; (SHARD_BITS + 1) * m];
+    for k in 1..=SHARD_BITS {
+        for (f, &z) in flips[k * m..(k + 1) * m].iter_mut().zip(zs) {
+            *f = ((z & ((1u64 << k) - 1)).count_ones() as u64 & 1) << 63;
         }
-        if n % 2 == 1 {
-            parts[half] = parts[n - 1];
-            n = half + 1;
+    }
+    flips
+}
+
+/// The sums `S_t = sum_b (-1)^{|b & z_t|} conj(a[b ^ x]) a[b]` for every
+/// term `t` that shares X-mask `x`, from one pass over the amplitudes.
+///
+/// The product `conj(a[b ^ x]) a[b]` is computed once per amplitude and
+/// shared; each term adds it under its own Z-parity sign into its own
+/// per-shard accumulator, in index order, and the per-shard partials
+/// combine by the ascending tree fold. Adding the sign-flipped product
+/// equals subtracting it bit for bit (IEEE `a - b` is `a + (-b)`), so
+/// each `S_t` is exactly what a pass for term `t` alone computes. The
+/// signs are carried along the index walk, one table row per step, so
+/// no per-term popcount runs in the loop. For `x = 0` the product is
+/// `(|a|^2, +0)` exactly, so those accumulators are real and the
+/// returned imaginary parts are `+0`, as a complex accumulator's would
+/// be.
+pub(crate) fn pauli_sums(amps: &[C64], x: usize, zs: &[u64]) -> Vec<C64> {
+    let m = zs.len();
+    let flips = parity_flips(zs);
+    let row = |i: usize| {
+        if i == 0 {
+            0
         } else {
-            n = half;
+            i.trailing_zeros() as usize + 1
         }
-    }
-    parts[0]
+    };
+    // The shared product as (re, im) bits.
+    let product = |b: usize, a: C64| {
+        if x == 0 {
+            (a.norm_sqr().to_bits(), 0.0f64.to_bits())
+        } else {
+            let t = amps[b ^ x].conj() * a;
+            (t.re.to_bits(), t.im.to_bits())
+        }
+    };
+    let parts = shard_partials(amps, |ci, chunk| {
+        let base = ci * SHARD_LEN;
+        let mut sign: Vec<u64> = zs
+            .iter()
+            .map(|&z| ((base as u64 & z).count_ones() as u64 & 1) << 63)
+            .collect();
+        if m == 1 {
+            // A lone term keeps its sums in registers: held in memory, each
+            // add would wait on a store-to-load round trip.
+            let (mut s, mut re, mut im) = (sign[0], 0.0f64, 0.0f64);
+            for (i, &a) in chunk.iter().enumerate() {
+                s ^= flips[row(i)];
+                let (tr, ti) = product(base + i, a);
+                re += f64::from_bits(tr ^ s);
+                im += f64::from_bits(ti ^ s);
+            }
+            return vec![re, im];
+        }
+        // Split planes: real parts in acc[..m], imaginary in acc[m..].
+        let mut acc = vec![0.0f64; 2 * m];
+        let (acc_re, acc_im) = acc.split_at_mut(m);
+        for (i, &a) in chunk.iter().enumerate() {
+            let (tr, ti) = product(base + i, a);
+            let r = row(i);
+            let flip = &flips[r * m..(r + 1) * m];
+            if x == 0 {
+                for ((re, s), f) in acc_re.iter_mut().zip(&mut sign).zip(flip) {
+                    *s ^= f;
+                    *re += f64::from_bits(tr ^ *s);
+                }
+            } else {
+                let planes = acc_re.iter_mut().zip(acc_im.iter_mut());
+                for (((re, im), s), f) in planes.zip(&mut sign).zip(flip) {
+                    *s ^= f;
+                    *re += f64::from_bits(tr ^ *s);
+                    *im += f64::from_bits(ti ^ *s);
+                }
+            }
+        }
+        acc
+    });
+    let fold = |k: usize| tree_fold_f64(parts.iter().map(|p| p[k]).collect());
+    (0..m).map(|j| C64::new(fold(j), fold(m + j))).collect()
 }
 
 /// Squared norm of an amplitude array: per-shard 8-lane partials
@@ -794,6 +914,44 @@ mod tests {
     }
 
     #[test]
+    fn exactly_diagonal_gates_compile_to_diagonal_ops() {
+        use bgls_circuit::Gate::*;
+        let one = [I, Z, S, Sdg, T, Tdg, Rz(0.3.into()), ZPow(0.2.into())];
+        let two = [Cz, CPhase(0.7.into()), Rzz(0.4.into())];
+        let sb = SHARD_BITS;
+        for g in one {
+            for q in [0, sb - 1, sb + 1] {
+                let op = compile_op(&g.unitary().unwrap(), &[q], sb).unwrap();
+                assert!(matches!(op, ShardOp::Diag { .. }), "{} on {q}", g.name());
+                assert_eq!(op.mask(), Mask::default());
+            }
+        }
+        for g in two {
+            for qs in [[1, 0], [0, sb + 1], [sb + 1, sb]] {
+                let op = compile_op(&g.unitary().unwrap(), &qs, sb).unwrap();
+                assert!(matches!(op, ShardOp::Diag { .. }), "{} on {qs:?}", g.name());
+                assert_eq!(op.mask(), Mask::default());
+            }
+        }
+        // X-type gates and near-diagonal matrices keep the dense kernel.
+        for (u, qs) in [
+            (Gate::H.unitary().unwrap(), vec![0]),
+            (Gate::Cnot.unitary().unwrap(), vec![1, 0]),
+        ] {
+            assert!(!matches!(
+                compile_op(&u, &qs, sb),
+                Some(ShardOp::Diag { .. })
+            ));
+        }
+        let mut near = Matrix::identity(2);
+        near[(0, 1)] = C64::new(1e-200, 0.0); // |z| underflows to 0, z != 0
+        assert!(!matches!(
+            compile_op(&near, &[0], sb),
+            Some(ShardOp::Diag { .. })
+        ));
+    }
+
+    #[test]
     fn norm_tree_fold_matches_plain_sum() {
         let mut rng = StdRng::seed_from_u64(17);
         for n in [3usize, 10, 15, 16] {
@@ -814,7 +972,6 @@ mod tests {
         // level 2 -> [15, 16], level 3 -> 31.
         assert_eq!(tree_fold_f64(parts), 31.0);
         assert_eq!(tree_fold_f64(vec![]), 0.0);
-        assert_eq!(tree_fold_c64(vec![C64::ONE; 5]), C64::real(5.0));
     }
 
     #[test]

@@ -239,34 +239,44 @@ impl BglsState for StateVector {
         Ok(())
     }
 
-    /// Exact `<psi|P|psi>` by one inner-product pass over the
-    /// amplitudes: with `P = i^{ny} X^x Z^z`, `P|b> = i^{ny}
-    /// (-1)^{|b & z|} |b ^ x>`, so each amplitude pairs with its
-    /// X-flipped partner under a Z-parity sign. Accumulated as one
-    /// partial per shard combined by ascending tree fold, so the result
-    /// is bit-identical for every thread count.
+    /// Exact `<psi|P|psi>`: a one-term [`BglsState::expectations`] call.
     fn expectation(&self, observable: &PauliString) -> Result<f64, SimError> {
-        if let Some(q) = observable.max_qubit() {
-            self.check_qubits(&[q])?;
-        }
-        let (x, z, ny) = observable.dense_masks();
-        let x = x as usize;
-        let amps = self.amps.as_slice();
-        let parts = kernel::shard_partials(amps, |ci, chunk| {
-            let base = ci * kernel::SHARD_LEN;
-            let mut acc = C64::ZERO;
-            for (i, &amp) in chunk.iter().enumerate() {
-                let b = base + i;
-                let term = amps[b ^ x].conj() * amp;
-                if (b as u64 & z).count_ones() % 2 == 1 {
-                    acc -= term;
-                } else {
-                    acc += term;
-                }
+        Ok(self.expectations(&[observable])?[0])
+    }
+
+    /// Exact `<psi|P_t|psi>` for every term by one inner-product pass
+    /// over the amplitudes per distinct X-mask: with
+    /// `P = i^{ny} X^x Z^z`, `P|b> = i^{ny} (-1)^{|b & z|} |b ^ x>`, so
+    /// each amplitude pairs with its X-flipped partner under a Z-parity
+    /// sign, and terms with the same `x` share the pairing. Each term
+    /// keeps its own per-shard accumulator, fed in index order and
+    /// combined by ascending tree fold, so every value is bit-identical
+    /// to a lone term's pass, for every thread count. Every term is
+    /// checked against the width before any pass runs.
+    fn expectations(&self, observables: &[&PauliString]) -> Result<Vec<f64>, SimError> {
+        for p in observables {
+            if let Some(q) = p.max_qubit() {
+                self.check_qubits(&[q])?;
             }
-            acc
-        });
-        Ok((kernel::tree_fold_c64(parts) * C64::i_pow(ny as i64)).re)
+        }
+        let masks: Vec<(u64, u64, u32)> = observables.iter().map(|p| p.dense_masks()).collect();
+        // Distinct X-masks in order of first appearance, with their terms.
+        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
+        for (t, &(x, _, _)) in masks.iter().enumerate() {
+            match groups.iter_mut().find(|(gx, _)| *gx == x) {
+                Some((_, terms)) => terms.push(t),
+                None => groups.push((x, vec![t])),
+            }
+        }
+        let mut out = vec![0.0; observables.len()];
+        for (x, terms) in groups {
+            let zs: Vec<u64> = terms.iter().map(|&t| masks[t].1).collect();
+            let sums = kernel::pauli_sums(&self.amps, x as usize, &zs);
+            for (&t, sum) in terms.iter().zip(sums) {
+                out[t] = (sum * C64::i_pow(masks[t].2 as i64)).re;
+            }
+        }
+        Ok(out)
     }
 
     fn project(&mut self, qubit: usize, value: bool) -> Result<(), SimError> {

@@ -7,8 +7,12 @@
 //! sample-parallel multiplicity-map path, then the two stabilizer
 //! backends: a 20-qubit Clifford circuit on the CH form (sample-parallel
 //! path) and a 16-qubit mid-circuit-measured one on the tableau (forest
-//! path), and last a noisy 12-qubit brickwork on the purified MPS
-//! (sample-parallel path). Diff the output
+//! path), then a noisy 12-qubit brickwork on the purified MPS
+//! (sample-parallel path), and last the bits of three exact expectation
+//! values: a 14-qubit QAOA MaxCut energy and a 16-qubit transverse-field
+//! Ising energy on the statevector (diagonal gate ops and the grouped
+//! Pauli pass, across two shards for the 16-qubit state) and an 8-qubit
+//! QAOA energy on the density matrix. Diff the output
 //! across revisions (or across `RAYON_NUM_THREADS` settings) to check
 //! that a change left seeded sampling behaviour bit-identical:
 //!
@@ -21,7 +25,10 @@
 //! ```
 
 use bgls_apps::{brickwork_circuit, random_u2_brickwork};
-use bgls_circuit::{generate_random_circuit, RandomCircuitParams};
+use bgls_apps::{
+    maxcut_hamiltonian, qaoa_maxcut_circuit, tfim_layer_circuit, transverse_field_ising, Graph,
+};
+use bgls_circuit::{generate_random_circuit, ParamResolver, PauliSum, RandomCircuitParams};
 use bgls_circuit::{Channel, Circuit, Gate, Operation, Qubit};
 use bgls_core::{default_apply_op, BglsState, BitString, Histogram, Simulator};
 use bgls_mps::{ChainMps, LazyNetworkState, MpsOptions, PurifiedMps, PurifiedOptions};
@@ -145,6 +152,18 @@ fn noisy_pmps_circuit() -> Circuit {
     c
 }
 
+/// A one-layer QAOA MaxCut ansatz on a seeded random graph, bound at a
+/// fixed `(gamma, beta)`, and its MaxCut observable.
+fn qaoa_instance(n: usize, seed: u64) -> (Circuit, PauliSum) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let graph = Graph::erdos_renyi(n, 0.3, &mut rng);
+    let binding = ParamResolver::from_pairs([("gamma0", 0.7), ("beta0", 0.4)]);
+    (
+        qaoa_maxcut_circuit(&graph, 1).resolve(&binding),
+        maxcut_hamiltonian(&graph),
+    )
+}
+
 fn main() {
     let mut rng = StdRng::seed_from_u64(32);
     let chain_circuit = random_u2_brickwork(20, 8, &mut rng);
@@ -202,4 +221,23 @@ fn main() {
     let sim = Simulator::new(pmps).with_seed(8);
     let result = sim.run(&noisy_pmps_circuit(), 500).unwrap();
     print_histogram("pmps", result.histogram("m").unwrap());
+
+    println!("exact_expectation (f64 bits):");
+    let (circuit, h) = qaoa_instance(14, 16);
+    let e = Simulator::new(StateVector::zero(14))
+        .expectation_value(&circuit, &h)
+        .unwrap();
+    println!("  qaoa14_statevector {:016x}", e.to_bits());
+    let e = Simulator::new(StateVector::zero(16))
+        .expectation_value(
+            &tfim_layer_circuit(16),
+            &transverse_field_ising(16, 1.0, 0.6, false),
+        )
+        .unwrap();
+    println!("  tfim16_statevector {:016x}", e.to_bits());
+    let (circuit, h) = qaoa_instance(8, 17);
+    let e = Simulator::new(DensityMatrix::zero(8))
+        .expectation_value(&circuit, &h)
+        .unwrap();
+    println!("  qaoa8_density {:016x}", e.to_bits());
 }

@@ -18,15 +18,19 @@
 //!    NEON on aarch64) return the same bits for gates and reductions.
 //!
 //! Alongside them, the density backend's channel superoperator pass is
-//! checked against the explicit Kraus sum `sum_i K_i rho K_i^dagger`.
+//! checked against the explicit Kraus sum `sum_i K_i rho K_i^dagger`;
+//! exactly diagonal gates, which run as shard-local phase multiplies, are
+//! checked against the flat reference at every shard placement; and the
+//! grouped Pauli pass (`StateVector::expectations`) is checked against a
+//! lone term's pass bit for bit.
 
 use bgls_suite::circuit::{
     embed_unitary, generate_random_circuit, Channel, Circuit, Gate, OpKind, Operation, PauliString,
     Qubit, RandomCircuitParams,
 };
-use bgls_suite::core::{BglsState, BitString, MarginalState};
+use bgls_suite::core::{BglsState, BitString, MarginalState, SimError};
 use bgls_suite::linalg::{Matrix, C64};
-use bgls_suite::statevector::{DensityMatrix, StateVector};
+use bgls_suite::statevector::{apply_matrices, apply_matrix, norm_sqr, DensityMatrix, StateVector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::Command;
@@ -244,6 +248,286 @@ fn density_matrix_sharded_path_matches_statevector() {
     }
     assert!((dm.purity() - 1.0).abs() < 1e-10);
     assert!((dm.trace() - 1.0).abs() < 1e-12);
+}
+
+// ------------------------------------------------------- diagonal gates
+
+/// Every exactly-diagonal catalogue gate, plus diagonal custom matrices
+/// (`U1`, and `U2` via `matrix_gate`), by arity.
+fn diagonal_gates() -> (Vec<Gate>, Vec<Gate>) {
+    let u1 = Matrix::from_vec(
+        2,
+        2,
+        vec![C64::cis(0.3), C64::ZERO, C64::ZERO, C64::cis(-1.1)],
+    );
+    let mut u2 = Matrix::identity(4);
+    for (g, phase) in [0.2, -0.7, 1.9, 0.4].into_iter().enumerate() {
+        u2[(g, g)] = C64::cis(phase);
+    }
+    let one = vec![
+        Gate::Z,
+        Gate::S,
+        Gate::Sdg,
+        Gate::T,
+        Gate::Tdg,
+        Gate::Rz(0.37.into()),
+        Gate::ZPow(0.29.into()),
+        matrix_gate(u1, 1),
+    ];
+    let two = vec![
+        Gate::Cz,
+        Gate::CPhase(0.81.into()),
+        Gate::Rzz((-0.42).into()),
+        matrix_gate(u2, 2),
+    ];
+    (one, two)
+}
+
+/// 1q and 2q placements on a 16-qubit (four-shard) state: in-shard low
+/// and high bits, shard-index bits, and 2q pairs that are local, mixed
+/// and cross-shard, listed in both qubit orders.
+fn diagonal_placements() -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let one = vec![vec![0], vec![1], vec![2], vec![13], vec![14], vec![15]];
+    let two = vec![
+        vec![1, 0],
+        vec![0, 1],
+        vec![2, 1],
+        vec![9, 3],
+        vec![3, 12],
+        vec![15, 3],
+        vec![0, 14],
+        vec![15, 14],
+        vec![14, 15],
+    ];
+    (one, two)
+}
+
+/// Random amplitudes with every component nonzero, and the uniform real
+/// state after an H wall (every imaginary part an exact zero).
+fn diagonal_test_states(n: usize) -> Vec<Vec<C64>> {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(31);
+    let random: Vec<C64> = (0..1usize << n)
+        .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        .collect();
+    let mut wall = Circuit::new();
+    for q in 0..n {
+        wall.push(Operation::gate(Gate::H, vec![Qubit(q as u32)]).unwrap());
+    }
+    vec![random, reference_evolve(&wall, n)]
+}
+
+/// The diagonal op's contract against the dense flat reference: every
+/// nonzero component equal bit for bit (a zero may differ in sign only),
+/// so the squared norm is bit-identical too.
+fn assert_nonzero_bits_equal(got: &[C64], want: &[C64], what: &str) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        for (a, b) in [(g.re, w.re), (g.im, w.im)] {
+            if b == 0.0 {
+                assert_eq!(a, 0.0, "{what}: index {i} should be zero, got {a:e}");
+            } else {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: bit mismatch at {i}");
+            }
+        }
+    }
+    assert_eq!(
+        norm_sqr(got).to_bits(),
+        norm_sqr(want).to_bits(),
+        "{what}: norm bits"
+    );
+}
+
+#[test]
+fn diagonal_gates_match_flat_reference_at_every_placement() {
+    let n = 16;
+    let (one, two) = diagonal_gates();
+    let (one_at, two_at) = diagonal_placements();
+    for amps in diagonal_test_states(n) {
+        for (gates, placements) in [(&one, &one_at), (&two, &two_at)] {
+            for gate in gates {
+                let u = gate.unitary().unwrap();
+                for qs in placements {
+                    let mut want = amps.clone();
+                    reference_apply(&mut want, &u, qs);
+                    let mut got = amps.clone();
+                    apply_matrix(&mut got, &u, qs);
+                    assert_nonzero_bits_equal(&got, &want, &format!("{} on {qs:?}", gate.name()));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_diagonal_gates_match_flat_reference() {
+    // Diagonal ops ride inside whatever segment is open, including ones
+    // whose mask spans shard-index bits: interleave them with H on the
+    // shard-index qubits and run the whole list as one fused call.
+    let n = 16;
+    let (one, two) = diagonal_gates();
+    let (one_at, two_at) = diagonal_placements();
+    let mut ops: Vec<(Matrix, Vec<usize>)> = Vec::new();
+    let h = Gate::H.unitary().unwrap();
+    for (i, qs) in one_at.iter().enumerate() {
+        ops.push((one[i % one.len()].unitary().unwrap(), qs.clone()));
+        ops.push((h.clone(), vec![14 + i % 2]));
+    }
+    for (i, qs) in two_at.iter().enumerate() {
+        ops.push((two[i % two.len()].unitary().unwrap(), qs.clone()));
+        if i % 3 == 0 {
+            ops.push((h.clone(), vec![15]));
+        }
+    }
+    let refs: Vec<(&Matrix, &[usize])> = ops.iter().map(|(u, q)| (u, q.as_slice())).collect();
+    for amps in diagonal_test_states(n) {
+        let mut want = amps.clone();
+        for (u, qs) in &ops {
+            reference_apply(&mut want, u, qs);
+        }
+        let mut got = amps.clone();
+        apply_matrices(&mut got, &refs);
+        assert_nonzero_bits_equal(&got, &want, "fused sequence");
+        // the statevector's one-gate entry point takes the same ops
+        let mut single = amps.clone();
+        for (u, qs) in &ops {
+            apply_matrix(&mut single, u, qs);
+        }
+        assert_nonzero_bits_equal(&single, &want, "gate by gate");
+    }
+}
+
+#[test]
+fn near_diagonal_matrix_stays_on_the_dense_kernel() {
+    // Off-diagonals of 1e-13 are not zero: the gate must run the dense
+    // 4-term kernel, whose bits (for the positional qubit order) equal
+    // the flat reference on every component, and differ from the exact
+    // diagonal part applied alone.
+    let n = 16;
+    let mut u = Matrix::identity(4);
+    for (g, phase) in [0.2, -0.7, 1.9, 0.4].into_iter().enumerate() {
+        u[(g, g)] = C64::cis(phase);
+    }
+    let diagonal = u.clone();
+    u[(0, 3)] = C64::new(1e-13, 0.0);
+    u[(2, 1)] = C64::new(0.0, -1e-13);
+    let amps = diagonal_test_states(n).swap_remove(0);
+    for qs in [vec![9, 3], vec![15, 3], vec![15, 14]] {
+        let mut want = amps.clone();
+        reference_apply(&mut want, &u, &qs);
+        let mut got = amps.clone();
+        apply_matrix(&mut got, &u, &qs);
+        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "{qs:?}: dense bit mismatch at {i}"
+            );
+        }
+        let mut diag_only = amps.clone();
+        apply_matrix(&mut diag_only, &diagonal, &qs);
+        assert!(
+            got.iter().zip(&diag_only).any(|(a, b)| a != b),
+            "{qs:?}: the 1e-13 off-diagonals were dropped"
+        );
+    }
+}
+
+// ------------------------------------------------- grouped Pauli passes
+
+/// The lone-term inner-product loop the grouped pass must reproduce:
+/// `<psi|P|psi>` with `P|b> = i^{ny} (-1)^{|b & z|} |b ^ x>`, one
+/// complex accumulator per shard of 2^14 amplitudes, partials combined by
+/// the ascending pairwise tree fold.
+fn lone_term_expectation(amps: &[C64], p: &PauliString) -> f64 {
+    let (x, z, ny) = p.dense_masks();
+    let mut parts: Vec<C64> = amps
+        .chunks(1 << 14)
+        .enumerate()
+        .map(|(ci, chunk)| {
+            let mut acc = C64::ZERO;
+            for (i, &amp) in chunk.iter().enumerate() {
+                let b = (ci << 14) + i;
+                let term = amps[b ^ x as usize].conj() * amp;
+                if (b as u64 & z).count_ones() % 2 == 1 {
+                    acc -= term;
+                } else {
+                    acc += term;
+                }
+            }
+            acc
+        })
+        .collect();
+    let mut len = parts.len();
+    while len > 1 {
+        let half = len / 2;
+        for i in 0..half {
+            parts[i] = parts[2 * i] + parts[2 * i + 1];
+        }
+        if len % 2 == 1 {
+            parts[half] = parts[len - 1];
+            len = half + 1;
+        } else {
+            len = half;
+        }
+    }
+    (parts[0] * C64::i_pow(ny as i64)).re
+}
+
+#[test]
+fn grouped_pauli_pass_matches_lone_terms_bitwise() {
+    // 10 qubits fit one shard; 16 qubits are four shards on the parallel
+    // path. The sums mix identity, Z-only strings (the real X-mask 0
+    // group), X and Y strings, and X-masks shared by several terms.
+    for n in [10usize, 16] {
+        let last = n - 1;
+        let strings: Vec<PauliString> = [
+            "I".to_string(),
+            "Z0 Z1".to_string(),
+            format!("X0 X{last}"),
+            format!("Z3 Z{last}"),
+            "Y0 Y1".to_string(),
+            "X2".to_string(),
+            format!("Y0 Z4 Y{last}"),
+            "Z5".to_string(),
+            format!("X0 Z2 X{last}"),
+            "Y2 Z7".to_string(),
+            "X0 X1 Z9".to_string(),
+            "I".to_string(),
+        ]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+        let refs: Vec<&PauliString> = strings.iter().collect();
+        let sv = StateVector::from_circuit(&qaoa_ring(n), n).unwrap();
+        let mut sv2 = sv.clone();
+        sv2.apply_gate(&Gate::Ry(0.61.into()), &[2]).unwrap();
+        sv2.apply_gate(&Gate::S, &[last]).unwrap();
+        for state in [sv, sv2] {
+            let grouped = state.expectations(&refs).unwrap();
+            for (p, got) in strings.iter().zip(&grouped) {
+                let lone = lone_term_expectation(state.amplitudes(), p);
+                assert_eq!(got.to_bits(), lone.to_bits(), "{n}q {p}: vs lone loop");
+                let single = state.expectation(p).unwrap();
+                assert_eq!(got.to_bits(), single.to_bits(), "{n}q {p}: vs expectation");
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_pauli_pass_rejects_a_term_beyond_the_width() {
+    let sv = StateVector::from_circuit(&qaoa_ring(10), 10).unwrap();
+    let ok: PauliString = "Z0 Z1".parse().unwrap();
+    let wide: PauliString = "X2 Z10".parse().unwrap();
+    for refs in [vec![&ok, &wide], vec![&wide, &ok]] {
+        assert!(matches!(
+            sv.expectations(&refs),
+            Err(SimError::QubitOutOfRange {
+                index: 10,
+                num_qubits: 10
+            })
+        ));
+    }
+    assert_eq!(sv.expectations(&[]).unwrap(), Vec::<f64>::new());
 }
 
 // ------------------------------------------------ channel superoperators
@@ -480,17 +764,30 @@ fn results_are_bit_identical_across_thread_counts() {
 fn forced_isa_paths_agree_bitwise() {
     use bgls_suite::linalg::dispatch::{self, Isa};
     // Gates and reductions over a 15-qubit state: every kernel shape
-    // (1q low/high, 2q local/mixed/cross, norm, marginal, expectation)
-    // gets exercised, under each ISA the host supports. All paths share
-    // one arithmetic contract, so agreement is exact — 0 ulp.
-    let circuit = random_clifford(15, 8, 23);
+    // (1q low/high, 2q local/mixed/cross, diagonal ops at in-shard and
+    // shard-index placements, norm, marginal, expectation) gets
+    // exercised, under each ISA the host supports. All paths share one
+    // arithmetic contract, so agreement is exact — 0 ulp.
+    let mut circuit = random_clifford(15, 8, 23);
+    let (one, two) = diagonal_gates();
+    for (i, gate) in one.into_iter().enumerate() {
+        let q = [0, 1, 2, 5, 13, 14][i % 6];
+        circuit.push(Operation::gate(gate, vec![Qubit(q)]).unwrap());
+    }
+    for (gate, (a, b)) in two.into_iter().zip([(1, 0), (14, 3), (2, 9), (0, 14)]) {
+        circuit.push(Operation::gate(gate, vec![Qubit(a), Qubit(b)]).unwrap());
+    }
     let run = || {
         let sv = StateVector::from_circuit(&circuit, 15).unwrap();
-        let obs: PauliString = "Y1 X7 Z14".parse().unwrap();
+        let obs: Vec<PauliString> = ["Y1 X7 Z14", "Z0 Z3", "Z14", "X1 X7 Z2"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let refs: Vec<&PauliString> = obs.iter().collect();
         (
             sv.amplitudes().to_vec(),
             sv.norm_sqr(),
-            sv.expectation(&obs).unwrap(),
+            sv.expectations(&refs).unwrap(),
             sv.marginal_probability(&[(2, true), (14, false)]),
         )
     };
@@ -509,7 +806,9 @@ fn forced_isa_paths_agree_bitwise() {
             );
         }
         assert_eq!(norm.to_bits(), norm0.to_bits(), "{isa:?}: norm bits");
-        assert_eq!(exp.to_bits(), exp0.to_bits(), "{isa:?}: expectation bits");
+        for (e, e0) in exp.iter().zip(&exp0) {
+            assert_eq!(e.to_bits(), e0.to_bits(), "{isa:?}: expectation bits");
+        }
         assert_eq!(marg.to_bits(), marg0.to_bits(), "{isa:?}: marginal bits");
     }
     // leave the process on the detected path for any tests that follow

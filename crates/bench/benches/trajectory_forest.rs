@@ -11,7 +11,7 @@
 //! * `qaoa` — one-layer ring-MaxCut QAOA with per-qubit bit-flip noise.
 //!
 //! Configurations per workload:
-//! * `replay` — `trajectory_forest: false`: the per-repetition replay
+//! * `replay` — `parallelize_samples: false`: the per-repetition replay
 //!   engine (Rayon across repetitions);
 //! * `forest` — the trajectory-forest engine (default options).
 //!
@@ -72,7 +72,7 @@ fn noisy_qaoa() -> Circuit {
 fn options(forest: bool) -> SimulatorOptions {
     SimulatorOptions {
         seed: Some(11),
-        trajectory_forest: forest,
+        parallelize_samples: forest,
         ..Default::default()
     }
 }

@@ -12,9 +12,13 @@
 //! ```
 //!
 //! Key pieces:
-//! * [`Simulator`] — gate-by-gate sampling with automatic sample
-//!   parallelization (paper Sec. 3.2.3) and quantum trajectories for
-//!   non-unitary operations (Sec. 3.2.1);
+//! * [`Simulator`] — gate-by-gate sampling on one multiplicity-map
+//!   engine: a frontier of `(state, bitstring -> multiplicity)` nodes
+//!   that stays at one node for circuits that never fork (the paper's
+//!   sample parallelization, Sec. 3.2.3) and forks at stochastic
+//!   channels and interior measurements (quantum trajectories,
+//!   Sec. 3.2.1), with per-repetition replay for stochastic hooks and
+//!   frontiers past their budget;
 //! * [`QubitByQubitSimulator`] — the conventional marginal-based baseline
 //!   (Sec. 2);
 //! * [`BitString`], [`RunResult`], [`Histogram`] — sampling I/O.

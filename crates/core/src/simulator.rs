@@ -6,23 +6,24 @@
 //! mirroring the Python package's constructor: an initial state, an
 //! `apply_op` hook, and a `compute_probability` hook.
 //!
-//! Three execution paths:
-//! * **sample-parallelized** (Sec. 3.2.3): for unitary circuits with
-//!   terminal measurements the state evolves once and all repetitions ride
-//!   along in a `bitstring -> multiplicity` map, split multinomially at
-//!   each gate. Runtime saturates at large repetition counts (Fig. 2).
-//! * **trajectory forest**: circuits with stochastic channels or
-//!   mid-circuit measurements keep the multiplicity-map economics by
-//!   maintaining a frontier of `(state, multiplicity-map)` nodes.
-//!   Deterministic segments advance each node once; at a stochastic
-//!   operation every node splits its multiplicities multinomially across
-//!   the branch outcomes and forks one child state per nonempty branch.
-//!   Total state evolutions drop from `O(reps x gates)` to
+//! Two execution engines:
+//! * **multiplicity-map forest** (Secs. 3.2.1 and 3.2.3): all
+//!   repetitions ride along in `bitstring -> multiplicity` maps, split
+//!   multinomially at each gate, over a frontier of `(state, map)`
+//!   nodes. A circuit that never forks — unitary with terminal
+//!   measurements, or channels the state applies deterministically —
+//!   stays at one node: the paper's sample parallelization, whose
+//!   runtime saturates at large repetition counts (Fig. 2). At a
+//!   stochastic channel every node splits its multiplicities across the
+//!   branch outcomes and forks one child state per nonempty branch, and
+//!   an interior measurement forks by measured outcome, so total state
+//!   evolutions drop from `O(reps x gates)` to
 //!   `O(distinct branch histories x gates)`.
 //! * **trajectories** (Sec. 3.2.1): stochastic apply hooks
-//!   (sum-over-Cliffords), custom hook constructors, or a forest frontier
-//!   that outgrew [`SimulatorOptions::max_forest_nodes`] re-run the
-//!   circuit per repetition, across Rayon threads when there are several.
+//!   (sum-over-Cliffords), custom hooks on circuits that fork,
+//!   `parallelize_samples: false`, or a forest frontier that outgrew
+//!   [`SimulatorOptions::max_forest_nodes`] re-run the circuit per
+//!   repetition, across Rayon threads when there are several.
 
 use crate::bitstring::BitString;
 use crate::error::SimError;
@@ -82,27 +83,22 @@ pub fn default_apply_op<S: BglsState>(
 pub struct SimulatorOptions {
     /// RNG seed; `None` draws from entropy.
     pub seed: Option<u64>,
-    /// Enable the multiplicity-map sample parallelization when the circuit
-    /// allows it (default `true`).
+    /// Run circuits through the multiplicity-map forest (default
+    /// `true`); `false` replays the circuit once per repetition. The two
+    /// engines sample the same distribution but key their RNG streams
+    /// differently, so seeded samples differ between them.
     pub parallelize_samples: bool,
     /// Skip the bitstring-update step for diagonal gates, whose candidate
     /// distribution is provably unchanged. Off by default to mirror the
     /// paper; exposed for the ablation bench.
     pub skip_diagonal_updates: bool,
-    /// Run noisy / mid-circuit-measurement circuits through the
-    /// trajectory-forest engine instead of per-repetition replay
-    /// (default `true`). The forest samples the same distribution as
-    /// replay but evolves each distinct branch history once, so seeded
-    /// samples differ between the two engines (the streams are keyed
-    /// differently) while every histogram stays distributionally
-    /// identical.
-    pub trajectory_forest: bool,
     /// Frontier budget for the trajectory forest (default `256`). When a
     /// stochastic operation would grow the frontier beyond this many
     /// nodes, the run abandons the forest *before* materializing the
     /// oversized frontier and falls back to per-trajectory replay, which
     /// has flat memory use. The budget bounds forest memory to roughly
-    /// `2 x max_forest_nodes` live states.
+    /// `2 x max_forest_nodes` live states. A circuit that never forks
+    /// stays at one node and never meets the budget.
     pub max_forest_nodes: usize,
     /// Run [`Simulator::run_sweep`] resolvers across Rayon threads
     /// (default `false`). Every resolver's run derives its own seed
@@ -131,7 +127,6 @@ impl Default for SimulatorOptions {
             seed: None,
             parallelize_samples: true,
             skip_diagonal_updates: false,
-            trajectory_forest: true,
             max_forest_nodes: 256,
             parallel_sweep: false,
             optimize: None,
@@ -154,7 +149,7 @@ pub struct Simulator<S: BglsState> {
     /// channel application goes through [`BglsState::apply_kraus`]. The
     /// trajectory forest forks channels via the state's branch methods,
     /// which is only faithful to the default hook; custom-hook
-    /// simulators keep the replay path.
+    /// simulators replay circuits that fork.
     default_hooks: bool,
     options: SimulatorOptions,
 }
@@ -295,25 +290,23 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         Ok(())
     }
 
-    /// True when this circuit can use the single-evolution multiplicity-map
-    /// path.
-    fn can_parallelize(&self, circuit: &Circuit) -> bool {
-        self.options.parallelize_samples
-            && !self.stochastic_apply
-            && (!circuit.has_channels() || self.initial_state.channels_are_deterministic())
-            && circuit.measurements_are_terminal()
+    /// True when a run of this circuit forks the forest frontier: a
+    /// channel the state applies stochastically, or a measurement whose
+    /// qubits a later operation reuses.
+    fn forks(&self, circuit: &Circuit) -> bool {
+        (circuit.has_channels() && !self.initial_state.channels_are_deterministic())
+            || !circuit.measurements_are_terminal()
     }
 
-    /// True when the trajectory-forest engine may attempt this run
-    /// (checked only after [`Simulator::can_parallelize`] declined).
-    /// Forest channel forking calls the state's Kraus branch methods
-    /// directly, so it requires the default hooks; stochastic custom
-    /// hooks always replay.
-    fn can_forest(&self) -> bool {
-        self.options.trajectory_forest
-            && self.options.parallelize_samples
-            && self.default_hooks
+    /// True when the multiplicity-map forest may run this circuit.
+    /// Forest channel forks call the state's Kraus branch methods
+    /// directly, which is only faithful to the default hooks, so custom
+    /// hooks take the forest only for circuits that never fork (and so
+    /// never reach those methods); stochastic apply hooks always replay.
+    fn can_forest(&self, circuit: &Circuit) -> bool {
+        self.options.parallelize_samples
             && !self.stochastic_apply
+            && (self.default_hooks || !self.forks(circuit))
     }
 
     /// Runs the circuit for `repetitions` and returns measurement
@@ -324,7 +317,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
     /// bit-identical for every Rayon thread count — the redistribution,
     /// forest and replay fan-outs key every random draw by map entry,
     /// branch history or repetition, never by thread. Switching the
-    /// *engine* — `trajectory_forest` on/off, or a forest run falling
+    /// *engine* — `parallelize_samples` on/off, or a forest run falling
     /// back on budget exhaustion — keys the RNG streams differently, so
     /// it preserves the distribution but not the individual seeded
     /// samples; `optimize` likewise changes the executed gate sequence.
@@ -341,21 +334,32 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             return Ok(RunResult::new(0));
         }
         let circuit = self.prepared(circuit);
-        if self.can_parallelize(&circuit) {
-            return self.run_parallel_samples(&circuit, repetitions);
-        }
-        if self.can_forest() {
-            match self.run_forest(&circuit, repetitions, multi_threaded()) {
-                // frontier outgrew max_forest_nodes: replay instead
+        Ok(self.sample(&circuit, repetitions, false)?.0)
+    }
+
+    /// Samples `repetitions` runs of the circuit: the measurement
+    /// histograms, plus — with `keep_finals` — every repetition's final
+    /// bitstring (sorted on the forest, in repetition order on replay).
+    /// Runs the forest when [`Simulator::can_forest`] allows and replays
+    /// otherwise; a circuit that forks also replays when its frontier
+    /// outgrows the budget or the backend cannot branch or project an
+    /// operation, since replay is the arbiter of whether the circuit is
+    /// runnable at all.
+    fn sample(
+        &self,
+        circuit: &Circuit,
+        repetitions: u64,
+        keep_finals: bool,
+    ) -> Result<(RunResult, Vec<BitString>), SimError> {
+        if self.can_forest(circuit) {
+            match self.run_forest(circuit, repetitions, keep_finals, multi_threaded()) {
+                Ok(Some(samples)) => return Ok(samples),
                 Ok(None) => {}
-                // backend lacks branch/projection capability for some
-                // operation: the replay path is the arbiter of whether
-                // the circuit is runnable at all
-                Err(SimError::Unsupported(_)) => {}
-                other => return other.map(|r| r.expect("forest result")),
+                Err(SimError::Unsupported(_)) if self.forks(circuit) => {}
+                Err(e) => return Err(e),
             }
         }
-        self.run_trajectories(&circuit, repetitions)
+        self.run_trajectories(circuit, repetitions, keep_finals)
     }
 
     /// Applies the optimizer pipeline when `optimize` is set.
@@ -451,55 +455,26 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
 
     /// Samples `repetitions` bitstrings from the circuit's *final* state
     /// (measurement operations are ignored). This is the raw gate-by-gate
-    /// sampler used by the overlap experiments of Figs. 4–5. Errors with
+    /// sampler used by the overlap experiments of Figs. 4–5; it picks its
+    /// engine exactly as [`Simulator::run`] does. Errors with
     /// [`SimError::Unsupported`] when the state is wider than
-    /// [`BitString::MAX_QUBITS`].
+    /// [`BitString::MAX_QUBITS`], and with [`SimError::Invalid`] when
+    /// `repetitions` bitstrings would not fit in one allocation.
     pub fn sample_final_bitstrings(
         &self,
         circuit: &Circuit,
         repetitions: u64,
     ) -> Result<Vec<BitString>, SimError> {
+        let bytes = repetitions.checked_mul(std::mem::size_of::<BitString>() as u64);
+        if bytes.is_none_or(|b| b > isize::MAX as u64) {
+            return Err(SimError::Invalid(format!(
+                "{repetitions} sampled bitstrings exceed the largest allocation"
+            )));
+        }
         self.check_runnable(circuit)?;
         self.check_bitstring_width()?;
-        let stripped = self.prepared(&circuit.without_measurements()).into_owned();
-        let n = self.initial_state.num_qubits();
-        if self.can_parallelize(&stripped) {
-            let mut rng = self.make_rng();
-            let map = self.evolve_multiplicity_map(&stripped, repetitions, &mut rng)?;
-            let mut out = Vec::with_capacity(repetitions as usize);
-            let mut entries: Vec<(BitString, u64)> = map.into_iter().collect();
-            entries.sort_unstable();
-            for (b, m) in entries {
-                out.extend(std::iter::repeat_n(b, m as usize));
-            }
-            Ok(out)
-        } else {
-            let seed = self.sample_base_seed();
-            let supports = op_supports(&stripped);
-            let run_chunk = |reps: std::ops::Range<u64>| -> Result<Vec<BitString>, SimError> {
-                let mut scratch = self.initial_state.clone();
-                let mut out = Vec::with_capacity((reps.end - reps.start) as usize);
-                for rep in reps {
-                    let mut rng = rep_rng(seed, rep);
-                    out.push(self.trajectory_once(
-                        &stripped,
-                        &supports,
-                        &mut scratch,
-                        n,
-                        &mut rng,
-                    )?);
-                }
-                Ok(out)
-            };
-            match rep_chunks(repetitions) {
-                Some(chunks) => {
-                    let parts: Result<Vec<Vec<BitString>>, SimError> =
-                        chunks.into_par_iter().map(run_chunk).collect();
-                    Ok(parts?.into_iter().flatten().collect())
-                }
-                None => run_chunk(0..repetitions),
-            }
-        }
+        let stripped = circuit.without_measurements();
+        Ok(self.sample(&self.prepared(&stripped), repetitions, true)?.1)
     }
 
     /// Sampling carries one [`BitString`] per repetition, so the state
@@ -820,81 +795,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         })
     }
 
-    // ---- sample-parallelized path -------------------------------------
-
-    fn run_parallel_samples(
-        &self,
-        circuit: &Circuit,
-        repetitions: u64,
-    ) -> Result<RunResult, SimError> {
-        let mut rng = self.make_rng();
-        let mut result = RunResult::new(repetitions);
-        let mut state = self.initial_state.clone();
-        let n = self.initial_state.num_qubits();
-        let mut map: FxHashMap<BitString, u64> = FxHashMap::default();
-        map.insert(BitString::zeros(n), repetitions);
-
-        for op in circuit.all_operations() {
-            match &op.kind {
-                OpKind::Measure { key } => {
-                    let qs: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-                    for (b, m) in &map {
-                        result.record(key, b.restrict(&qs), *m);
-                    }
-                }
-                _ => {
-                    self.step_multiplicity_map(&mut state, op, &mut map, &mut rng)?;
-                }
-            }
-        }
-        Ok(result)
-    }
-
-    /// Evolves the multiplicity map over all non-measurement operations and
-    /// returns the final map.
-    fn evolve_multiplicity_map(
-        &self,
-        circuit: &Circuit,
-        repetitions: u64,
-        rng: &mut StdRng,
-    ) -> Result<FxHashMap<BitString, u64>, SimError> {
-        let n = self.initial_state.num_qubits();
-        let mut state = self.initial_state.clone();
-        let mut map: FxHashMap<BitString, u64> = FxHashMap::default();
-        map.insert(BitString::zeros(n), repetitions);
-        for op in circuit.all_operations() {
-            if op.is_measurement() {
-                continue;
-            }
-            self.step_multiplicity_map(&mut state, op, &mut map, rng)?;
-        }
-        Ok(map)
-    }
-
-    /// One gate-by-gate step on the whole multiplicity map: apply the
-    /// operation once, then redistribute every unique bitstring's
-    /// multiplicity across its candidates.
-    ///
-    /// One `u64` is drawn from the step RNG per operation; each map entry
-    /// then splits its multiplicity with its own SplitMix stream keyed by
-    /// `(step seed, entry bitstring)`, so the redistribution is
-    /// independent of entry order and thread count.
-    fn step_multiplicity_map(
-        &self,
-        state: &mut S,
-        op: &Operation,
-        map: &mut FxHashMap<BitString, u64>,
-        rng: &mut StdRng,
-    ) -> Result<(), SimError> {
-        (self.apply_op)(state, op, rng)?;
-        if self.skip_update(op) {
-            return Ok(());
-        }
-        let support: Vec<usize> = op.support().iter().map(|q| q.index()).collect();
-        let step_seed: u64 = rng.gen();
-        *map = self.redistribute(state, &support, step_seed, map, multi_threaded())?;
-        Ok(())
-    }
+    // ---- multiplicity-map forest ----------------------------------------
 
     /// Redistributes every map entry's multiplicity across its candidate
     /// set: gathers the candidate sets of a whole run of map entries into
@@ -1006,13 +907,14 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         self.options.skip_diagonal_updates && op.as_gate().map(Gate::is_diagonal).unwrap_or(false)
     }
 
-    // ---- trajectory-forest path ----------------------------------------
-
-    /// Runs the circuit through the trajectory-forest engine: a frontier
+    /// Runs the circuit through the multiplicity-map forest: a frontier
     /// of `(state, multiplicity-map)` nodes sharing every deterministic
-    /// prefix of their branch histories. Returns `Ok(None)` when the
-    /// frontier outgrew [`SimulatorOptions::max_forest_nodes`] (the
-    /// caller replays instead).
+    /// prefix of their branch histories, one node for a circuit that
+    /// never forks. Returns the histograms and, with `keep_finals`, every
+    /// repetition's final bitstring in ascending order (the final
+    /// frontier's maps merged), or `Ok(None)` when the frontier outgrew
+    /// [`SimulatorOptions::max_forest_nodes`] (the caller replays
+    /// instead).
     ///
     /// Determinism: every node carries a SplitMix stream key derived from
     /// the base seed and its branch history ([`stream_seed`]); all
@@ -1024,8 +926,9 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         &self,
         circuit: &Circuit,
         repetitions: u64,
+        keep_finals: bool,
         fan_out: bool,
-    ) -> Result<Option<RunResult>, SimError> {
+    ) -> Result<Option<(RunResult, Vec<BitString>)>, SimError> {
         let n = self.initial_state.num_qubits();
         let terminal = circuit.measurements_are_terminal();
         let op_count = circuit.all_operations().count() as u64;
@@ -1070,13 +973,22 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                 }
             }
         }
-        Ok(Some(result))
+        let mut finals = Vec::new();
+        if keep_finals {
+            let mut entries: Vec<(BitString, u64)> =
+                nodes.into_iter().flat_map(|node| node.map).collect();
+            entries.sort_unstable();
+            finals.reserve_exact(repetitions as usize);
+            for (b, m) in entries {
+                finals.extend(std::iter::repeat_n(b, m as usize));
+            }
+        }
+        Ok(Some((result, finals)))
     }
 
     /// Deterministic forest advance: apply the operation to every node
-    /// once and redistribute its map, exactly as the single-state
-    /// sample-parallelized path does — but with the step seed derived
-    /// from the node's stream instead of a shared sequential RNG.
+    /// once and redistribute its map, with the step seed derived from
+    /// the node's stream.
     fn forest_step(
         &self,
         nodes: Vec<ForestNode<S>>,
@@ -1244,7 +1156,16 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
 
     // ---- trajectory path ----------------------------------------------
 
-    fn run_trajectories(&self, circuit: &Circuit, repetitions: u64) -> Result<RunResult, SimError> {
+    /// Replays the circuit once per repetition, in one contiguous chunk
+    /// of repetitions per Rayon thread. Returns the histograms and, with
+    /// `keep_finals`, every repetition's final bitstring in repetition
+    /// order.
+    fn run_trajectories(
+        &self,
+        circuit: &Circuit,
+        repetitions: u64,
+        keep_finals: bool,
+    ) -> Result<(RunResult, Vec<BitString>), SimError> {
         let n = self.initial_state.num_qubits();
         let terminal = circuit.measurements_are_terminal();
         let seed = self.sample_base_seed();
@@ -1252,15 +1173,19 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
 
         // One scratch state per chunk: trajectories reuse its buffers via
         // `clone_from` instead of allocating a fresh state every rep.
-        let run_chunk = |reps: std::ops::Range<u64>| -> Result<RunResult, SimError> {
+        let run_chunk = |reps: std::ops::Range<u64>| {
             let mut result = RunResult::new(0);
+            let mut finals = Vec::new();
+            if keep_finals {
+                finals.reserve_exact((reps.end - reps.start) as usize);
+            }
             let mut scratch = self.initial_state.clone();
             for rep in reps {
                 let mut rng = rep_rng(seed, rep);
                 let mut recorder = |key: &str, outcome: BitString| {
                     result.record(key, outcome, 1);
                 };
-                self.trajectory_once_with_measure(
+                let b = self.trajectory_once_with_measure(
                     circuit,
                     &supports,
                     &mut scratch,
@@ -1269,56 +1194,35 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                     terminal,
                     &mut recorder,
                 )?;
+                if keep_finals {
+                    finals.push(b);
+                }
             }
-            Ok(result)
+            Ok((result, finals))
         };
 
-        match rep_chunks(repetitions) {
-            Some(chunks) => chunks
+        let chunks = match rep_chunks(repetitions) {
+            Some(ranges) => ranges
                 .into_par_iter()
                 .map(run_chunk)
-                .try_reduce(
-                    || RunResult::new(0),
-                    |mut a, b| {
-                        a.merge(b);
-                        Ok(a)
-                    },
-                )
-                // merge() sums the per-chunk counts; report the true total
-                .map(|r| r.with_repetitions(repetitions)),
-            None => run_chunk(0..repetitions).map(|r| r.with_repetitions(repetitions)),
+                .collect::<Result<Vec<_>, SimError>>()?,
+            None => vec![run_chunk(0..repetitions)?],
+        };
+        let mut result = RunResult::new(0);
+        let mut finals = Vec::new();
+        for (part, part_finals) in chunks {
+            result.merge(part);
+            finals.extend(part_finals);
         }
+        // merge() sums the per-chunk counts; report the true total
+        Ok((result.with_repetitions(repetitions), finals))
     }
 
-    /// Walks the circuit once into `state` (measurements skipped),
-    /// returning the final bitstring. `state` is overwritten via
+    /// Walks the circuit once into `state`, recording measurements and
+    /// (when `terminal` is false) collapsing the state at each one, and
+    /// returns the final bitstring. `state` is overwritten via
     /// `clone_from`, so callers can reuse one scratch state across
     /// repetitions.
-    fn trajectory_once(
-        &self,
-        circuit: &Circuit,
-        supports: &[Vec<usize>],
-        state: &mut S,
-        n: usize,
-        rng: &mut StdRng,
-    ) -> Result<BitString, SimError> {
-        state.clone_from(&self.initial_state);
-        let mut b = BitString::zeros(n);
-        for (op, support) in circuit.all_operations().zip(supports) {
-            if op.is_measurement() {
-                continue;
-            }
-            (self.apply_op)(state, op, rng)?;
-            if !self.skip_update(op) {
-                b = self.resample(state, b, support, rng)?;
-            }
-        }
-        Ok(b)
-    }
-
-    /// Full trajectory including measurement recording and (when needed)
-    /// collapse. `state` is a reusable scratch buffer like in
-    /// [`Simulator::trajectory_once`].
     #[allow(clippy::too_many_arguments)]
     fn trajectory_once_with_measure(
         &self,
@@ -1329,7 +1233,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
         rng: &mut StdRng,
         terminal: bool,
         record: &mut dyn FnMut(&str, BitString),
-    ) -> Result<(), SimError> {
+    ) -> Result<BitString, SimError> {
         state.clone_from(&self.initial_state);
         let mut b = BitString::zeros(n);
         for (op, support) in circuit.all_operations().zip(supports) {
@@ -1352,7 +1256,7 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
                 }
             }
         }
-        Ok(())
+        Ok(b)
     }
 
     /// The core gate-by-gate update: resample the bitstring over the
@@ -1615,7 +1519,7 @@ fn multinomial_split_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::testing::RefState;
+    use crate::state::testing::{RefMixture, RefState};
     use bgls_circuit::{Channel, Gate, Operation, Qubit};
 
     fn ghz(n: usize) -> Circuit {
@@ -2015,12 +1919,6 @@ mod tests {
         c
     }
 
-    /// The paper's scalar probability hook, as [`Simulator::with_hooks`]
-    /// takes it.
-    fn scalar_prob() -> ProbFn<RefState> {
-        Arc::new(|s, b| s.probability(b))
-    }
-
     /// A batch hook that evaluates one candidate at a time.
     fn per_candidate_hook() -> BatchProbFn<RefState> {
         Arc::new(|s, cands| cands.iter().map(|&c| s.probability(c)).collect())
@@ -2050,25 +1948,63 @@ mod tests {
         assert_eq!(split(true), serial);
     }
 
-    #[test]
-    fn with_hooks_samples_bit_identically_to_the_batched_hook() {
-        let c = entangling_circuit(4);
-        let batched = Simulator::new(RefState::zero(4)).with_seed(29);
-        let scalar = Simulator::with_hooks(
-            RefState::zero(4),
+    /// [`entangling_circuit`] with depolarizing noise on every qubit
+    /// before the readout: it forks on a pure state, not on a mixture.
+    fn noisy_entangling_circuit(n: usize) -> Circuit {
+        let mut noisy = entangling_circuit(n).without_measurements();
+        for q in 0..n as u32 {
+            noisy.push(
+                Operation::channel(Channel::depolarizing(0.1).unwrap(), vec![Qubit(q)]).unwrap(),
+            );
+        }
+        noisy.push(Operation::measure(Qubit::range(n), "z").unwrap());
+        noisy
+    }
+
+    /// The paper's three-hook constructor over the default apply hook and
+    /// the scalar probability hook.
+    fn hooked<S: BglsState + Send + Sync + 'static>(state: S) -> Simulator<S> {
+        Simulator::with_hooks(
+            state,
             Arc::new(default_apply_op),
-            scalar_prob(),
+            Arc::new(|s: &S, b| s.probability(b)),
             false,
         )
-        .with_seed(29);
-        assert_eq!(
-            batched.run(&c, 3000).unwrap().histogram("z"),
-            scalar.run(&c, 3000).unwrap().histogram("z")
-        );
-        assert_eq!(
-            batched.sample_final_bitstrings(&c, 500).unwrap(),
-            scalar.sample_final_bitstrings(&c, 500).unwrap()
-        );
+    }
+
+    #[test]
+    fn with_hooks_samples_bit_identically_to_the_batched_hook() {
+        fn check<S: BglsState + Send + Sync + 'static>(state: S, c: &Circuit) {
+            let batched = Simulator::new(state.clone()).with_seed(29);
+            let scalar = hooked(state).with_seed(29);
+            assert_eq!(
+                batched.run(c, 3000).unwrap().histogram("z"),
+                scalar.run(c, 3000).unwrap().histogram("z")
+            );
+            assert_eq!(
+                batched.sample_final_bitstrings(c, 500).unwrap(),
+                scalar.sample_final_bitstrings(c, 500).unwrap()
+            );
+        }
+        check(RefState::zero(4), &entangling_circuit(4));
+        // channels a mixed state applies exactly do not fork, so custom
+        // hooks keep the one-node forest on a noisy circuit too
+        check(RefMixture::zero(4), &noisy_entangling_circuit(4));
+    }
+
+    #[test]
+    fn sampling_rejects_unallocatable_repetition_counts() {
+        let mut c = Circuit::new();
+        c.push(Operation::gate(Gate::H, vec![Qubit(0)]).unwrap());
+        let sim = Simulator::new(RefState::zero(1)).with_seed(1);
+        assert!(matches!(
+            sim.sample_final_bitstrings(&c, u64::MAX),
+            Err(SimError::Invalid(_))
+        ));
+        assert!(matches!(
+            sim.estimate_expectation(&c, &"Z0".parse().unwrap(), u64::MAX),
+            Err(SimError::Invalid(_))
+        ));
     }
 
     #[test]
@@ -2176,7 +2112,7 @@ mod tests {
         };
         let forest = run(forest_opts(31));
         let replay = run(SimulatorOptions {
-            trajectory_forest: false,
+            parallelize_samples: false,
             ..forest_opts(31)
         });
         let exhausted = run(SimulatorOptions {
@@ -2194,13 +2130,32 @@ mod tests {
             replay.histogram("fin"),
             "forest run reproduced the replay stream exactly — did it engage?"
         );
+        // a circuit that never forks stays at one node and never meets
+        // the budget: a zero budget samples the default's bits
+        fn one_node<S: BglsState + Send + Sync + 'static>(state: S, c: &Circuit) {
+            let default = Simulator::new(state.clone()).with_options(forest_opts(30));
+            let no_budget = Simulator::new(state).with_options(SimulatorOptions {
+                max_forest_nodes: 0,
+                ..forest_opts(30)
+            });
+            assert_eq!(
+                default.run(c, 2000).unwrap().histogram("z"),
+                no_budget.run(c, 2000).unwrap().histogram("z")
+            );
+            assert_eq!(
+                default.sample_final_bitstrings(c, 500).unwrap(),
+                no_budget.sample_final_bitstrings(c, 500).unwrap()
+            );
+        }
+        one_node(RefState::zero(4), &entangling_circuit(4));
+        one_node(RefMixture::zero(4), &noisy_entangling_circuit(4));
     }
 
     #[test]
     fn forest_fan_out_and_serial_are_bit_identical() {
         let c = noisy_mid_circuit_circuit(4, 0.15);
         let sim = Simulator::new(RefState::zero(4)).with_options(forest_opts(32));
-        let run = |fan_out: bool| sim.run_forest(&c, 3000, fan_out).unwrap().unwrap();
+        let run = |fan_out: bool| sim.run_forest(&c, 3000, false, fan_out).unwrap().unwrap().0;
         let a = run(true);
         let b = run(false);
         assert_eq!(a.histogram("fin"), b.histogram("fin"));
@@ -2241,20 +2196,36 @@ mod tests {
         let mut c = Circuit::new();
         c.push(Operation::channel(Channel::bit_flip(0.3).unwrap(), vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let run = |forest: bool| {
-            let opts = SimulatorOptions {
-                trajectory_forest: forest,
+        let sim = |forest: bool| {
+            Simulator::new(RefState::zero(1)).with_options(SimulatorOptions {
+                parallelize_samples: forest,
                 ..forest_opts(35)
-            };
-            Simulator::new(RefState::zero(1))
-                .with_options(opts)
-                .run(&c, 4000)
-                .unwrap()
+            })
         };
-        let ff = run(true).histogram("m").unwrap().count_value(1) as f64 / 4000.0;
-        let fr = run(false).histogram("m").unwrap().count_value(1) as f64 / 4000.0;
-        assert!((ff - 0.3).abs() < 0.035, "forest flip rate {ff}");
-        assert!((fr - 0.3).abs() < 0.035, "replay flip rate {fr}");
+        let run_rate = |forest: bool| {
+            let r = sim(forest).run(&c, 4000).unwrap();
+            r.histogram("m").unwrap().count_value(1) as f64 / 4000.0
+        };
+        // terminal measurements only: sample_final_bitstrings forks the
+        // same channel on the forest
+        let final_rate = |forest: bool| {
+            let samples = sim(forest).sample_final_bitstrings(&c, 4000).unwrap();
+            samples.iter().filter(|b| b.get(0)).count() as f64 / 4000.0
+        };
+        for (engine, rate) in [
+            ("forest run", run_rate(true)),
+            ("replay run", run_rate(false)),
+            ("forest final", final_rate(true)),
+            ("replay final", final_rate(false)),
+        ] {
+            assert!((rate - 0.3).abs() < 0.035, "{engine} flip rate {rate}");
+        }
+        // the two engines key their streams differently: identical
+        // samples would mean the forest silently replayed
+        assert_ne!(
+            sim(true).sample_final_bitstrings(&c, 500).unwrap(),
+            sim(false).sample_final_bitstrings(&c, 500).unwrap()
+        );
     }
 
     #[test]
@@ -2282,21 +2253,15 @@ mod tests {
     }
 
     #[test]
-    fn custom_hooks_never_use_the_forest() {
-        // with_hooks simulators keep the replay engine even for noisy
-        // circuits: same seed, same histogram as an explicit replay run
+    fn custom_hooks_replay_circuits_that_fork() {
+        // with_hooks simulators replay circuits whose channels fork: same
+        // seed, same histogram as an explicit replay run
         let mut c = Circuit::new();
         c.push(Operation::channel(Channel::bit_flip(0.4).unwrap(), vec![Qubit(0)]).unwrap());
         c.push(Operation::measure(vec![Qubit(0)], "m").unwrap());
-        let hooked = Simulator::with_hooks(
-            RefState::zero(1),
-            Arc::new(default_apply_op),
-            scalar_prob(),
-            false,
-        )
-        .with_options(forest_opts(37));
+        let hooked = hooked(RefState::zero(1)).with_options(forest_opts(37));
         let replay = Simulator::new(RefState::zero(1)).with_options(SimulatorOptions {
-            trajectory_forest: false,
+            parallelize_samples: false,
             ..forest_opts(37)
         });
         assert_eq!(

@@ -371,6 +371,68 @@ pub(crate) mod testing {
         }
     }
 
+    /// An exact mixed state held as a weighted ensemble of [`RefState`]s
+    /// — the core tests' stand-in for a density matrix. Channels apply
+    /// deterministically (every member splits into its Kraus branches),
+    /// so noisy circuits on it never fork a run.
+    #[derive(Clone, Debug)]
+    pub struct RefMixture {
+        pub members: Vec<(f64, RefState)>,
+    }
+
+    impl RefMixture {
+        pub fn zero(n: usize) -> Self {
+            RefMixture {
+                members: vec![(1.0, RefState::zero(n))],
+            }
+        }
+    }
+
+    impl BglsState for RefMixture {
+        fn num_qubits(&self) -> usize {
+            self.members[0].1.n
+        }
+
+        fn apply_gate(&mut self, gate: &Gate, qubits: &[usize]) -> Result<(), SimError> {
+            for (_, member) in &mut self.members {
+                member.apply_gate(gate, qubits)?;
+            }
+            Ok(())
+        }
+
+        fn probability(&self, bits: BitString) -> f64 {
+            self.members
+                .iter()
+                .map(|(w, member)| w * member.probability(bits))
+                .sum()
+        }
+
+        fn apply_kraus(
+            &mut self,
+            channel: &Channel,
+            qubits: &[usize],
+            _rng: &mut dyn RngCore,
+        ) -> Result<usize, SimError> {
+            let mut next = Vec::new();
+            for (w, member) in &self.members {
+                let probs = member.kraus_branch_probabilities(channel, qubits)?;
+                for (branch, p) in probs.into_iter().enumerate() {
+                    if p > 0.0 {
+                        let mut child = member.clone();
+                        child.apply_kraus_branch(channel, branch, qubits)?;
+                        next.push((w * p, child));
+                    }
+                }
+            }
+            self.members = next;
+            Ok(0)
+        }
+
+        fn channels_are_deterministic(&self) -> bool {
+            true
+        }
+    }
+
     /// `embed_unitary` works for any matrix; alias for clarity when
     /// embedding non-unitary Kraus operators.
     fn embed_unitary_nonunitary(

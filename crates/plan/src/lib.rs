@@ -2,7 +2,7 @@
 //! the BGLS gate-by-gate sampling stack.
 //!
 //! The engine crates expose six interchangeable state representations
-//! and three execution paths; picking the right pair per circuit is
+//! and two sampling engines; picking the right pair per circuit is
 //! mechanical once the circuit's structure is known. This crate closes
 //! that loop:
 //!

@@ -76,16 +76,22 @@ impl Default for PlannerConfig {
 /// The path is realized through [`SimulatorOptions`], not a separate
 /// code path: the simulator already picks its engine from the circuit
 /// and options, so the plan's job is to configure the options such that
-/// the intended engine is the one that fires.
+/// the intended engine is the one that fires. The simulator has two
+/// sampling engines: the multiplicity-map forest
+/// (`parallelize_samples: true`) and per-trajectory replay
+/// (`parallelize_samples: false`). [`ExecPath::SampleParallel`],
+/// [`ExecPath::Forest`] and [`ExecPath::TableauCollapse`] all name the
+/// forest and differ only in the circuit: whether it forks, and on
+/// which backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecPath {
-    /// The paper's multiplicity-map sample parallelization: all
-    /// repetitions advance through one state sweep. Requires a circuit
-    /// free of trajectory forks (unitary + terminal measurements, or
-    /// deterministic channels on a density matrix).
+    /// The paper's multiplicity-map sample parallelization: the forest
+    /// on a circuit free of trajectory forks (unitary + terminal
+    /// measurements, or channels the backend applies deterministically),
+    /// so all repetitions advance through one state sweep at one node.
     SampleParallel,
-    /// The trajectory forest: distinct branch histories evolve once,
-    /// with a frontier bounded by
+    /// The forest on a circuit that forks: distinct branch histories
+    /// evolve once, with a frontier bounded by
     /// [`PlannerConfig::max_forest_nodes`]. Best for *sparse* noise.
     Forest,
     /// Per-trajectory replay: flat memory, one full circuit pass per
@@ -95,7 +101,8 @@ pub enum ExecPath {
     /// Trajectory collapse on a stabilizer tableau: mid-circuit
     /// measurements execute as projective collapse
     /// (`CliffordTableau::project`), which the CH form cannot do. The
-    /// engine is the forest/replay machinery over tableau nodes.
+    /// engine is the forest over tableau nodes, replaying if the
+    /// frontier outgrows its budget.
     TableauCollapse,
     /// The deterministic weighted-frontier expectation walk
     /// (`Simulator::expectation_value`) — exact, no randomness.
@@ -201,7 +208,6 @@ impl ExecutionPlan {
         self.path.hash(&mut h);
         self.options.parallelize_samples.hash(&mut h);
         self.options.skip_diagonal_updates.hash(&mut h);
-        self.options.trajectory_forest.hash(&mut h);
         self.options.max_forest_nodes.hash(&mut h);
         self.optimize.map(|c| c.fingerprint()).hash(&mut h);
         self.options.optimize.map(|c| c.fingerprint()).hash(&mut h);
@@ -536,7 +542,7 @@ fn route(
             } else if profile.has_channels || profile.mid_circuit_measurements {
                 let backend = pick_pure_state_backend(&profile, config, sv_ok, mps_ok, low_chi)?;
                 if matches!(trajectory_path, ExecPath::Replay) {
-                    options.trajectory_forest = false;
+                    options.parallelize_samples = false;
                 }
                 (
                     backend,
@@ -643,7 +649,7 @@ pub fn degrade(current: &ExecutionPlan, config: &PlannerConfig) -> Option<Execut
     // Histogram rung 1: forest -> replay on the same backend.
     if current.path == ExecPath::Forest {
         let mut options = current.options.clone();
-        options.trajectory_forest = false;
+        options.parallelize_samples = false;
         return Some(ExecutionPlan {
             backend: current.backend,
             path: ExecPath::Replay,
@@ -705,11 +711,11 @@ pub fn degrade(current: &ExecutionPlan, config: &PlannerConfig) -> Option<Execut
     let mut options = current.options.clone();
     let stochastic = profile.has_channels && !backend.channels_are_deterministic();
     let path = if stochastic || profile.mid_circuit_measurements {
-        options.trajectory_forest = false;
         ExecPath::Replay
     } else {
         ExecPath::SampleParallel
     };
+    options.parallelize_samples = path == ExecPath::SampleParallel;
     Some(ExecutionPlan {
         backend,
         path,
@@ -893,7 +899,7 @@ mod tests {
         let p1 = plan(&noisy(1), &hist(), &cfg).unwrap();
         assert_eq!(p1.backend, BackendKind::StateVector);
         assert_eq!(p1.path, ExecPath::Forest);
-        assert!(p1.options.trajectory_forest);
+        assert!(p1.options.parallelize_samples);
 
         // Dense noise overflows the forest budget; the purified MPS
         // absorbs every channel exactly and keeps sample parallelism.
@@ -1060,7 +1066,7 @@ mod tests {
             (r1.backend, r1.path),
             (BackendKind::StateVector, ExecPath::Replay)
         );
-        assert!(!r1.options.trajectory_forest);
+        assert!(!r1.options.parallelize_samples);
 
         let r2 = degrade(&r1, &cfg).unwrap();
         assert!(matches!(r2.backend, BackendKind::ChainMps { chi: Some(_) }));

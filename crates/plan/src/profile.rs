@@ -27,8 +27,11 @@ pub struct CircuitProfile {
     pub has_channels: bool,
     /// Any measurement present.
     pub has_measurements: bool,
-    /// Some measurement is followed by a later operation on one of its
-    /// qubits, so sampling must collapse mid-run (projective collapse).
+    /// Some measurement is followed by a later non-measurement operation
+    /// on one of its qubits, so sampling must collapse mid-run
+    /// (projective collapse). Agrees with
+    /// [`Circuit::measurements_are_terminal`], which the simulator's
+    /// engine choice reads.
     pub mid_circuit_measurements: bool,
     /// Unresolved symbolic parameters remain.
     pub parameterized: bool,
@@ -86,12 +89,12 @@ impl CircuitProfile {
                 }
                 if op.is_measurement() {
                     p.has_measurements = true;
-                    // Mid-circuit iff some later moment touches one of
-                    // the measured qubits again.
+                    // Mid-circuit iff some later non-measurement operation
+                    // touches one of the measured qubits again.
                     let later_touches = moments[i + 1..].iter().any(|m| {
-                        m.operations()
-                            .iter()
-                            .any(|o| o.support().iter().any(|q| support.contains(q)))
+                        m.operations().iter().any(|o| {
+                            !o.is_measurement() && o.support().iter().any(|q| support.contains(q))
+                        })
                     });
                     if later_touches {
                         p.mid_circuit_measurements = true;
@@ -201,6 +204,16 @@ mod tests {
         let p = CircuitProfile::of(&c);
         assert!(p.mid_circuit_measurements);
         assert_eq!(p.fork_ops, 1); // only the early measurement forks
+
+        // reading a qubit out twice collapses nothing a later gate sees
+        let mut twice = Circuit::new();
+        twice.push(Operation::gate(Gate::T, vec![q(0)]).unwrap());
+        twice.push(Operation::measure(vec![q(0)], "a").unwrap());
+        twice.push(Operation::measure(vec![q(0)], "b").unwrap());
+        assert!(twice.measurements_are_terminal());
+        let p = CircuitProfile::of(&twice);
+        assert!(!p.mid_circuit_measurements);
+        assert_eq!(p.fork_ops, 0);
     }
 
     #[test]

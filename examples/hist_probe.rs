@@ -1,20 +1,35 @@
-//! Determinism probe: prints seeded sampling histograms for the
-//! chain-MPS (chi=32) and lazy-network backends, then for three engine
-//! paths on the statevector: a multiplicity map wide enough to fan out
-//! across Rayon threads, a noisy trajectory-forest run, and the paper's
-//! three-hook constructor (`Simulator::with_hooks`), and last a noisy
-//! circuit on the density matrix, whose exact channels keep it on the
-//! sample-parallel multiplicity-map path, then the two stabilizer
-//! backends: a 20-qubit Clifford circuit on the CH form (sample-parallel
-//! path) and a 16-qubit mid-circuit-measured one on the tableau (forest
-//! path), then a noisy 12-qubit brickwork on the purified MPS
-//! (sample-parallel path), and last the bits of three exact expectation
-//! values: a 14-qubit QAOA MaxCut energy and a 16-qubit transverse-field
-//! Ising energy on the statevector (diagonal gate ops and the grouped
-//! Pauli pass, across two shards for the 16-qubit state) and an 8-qubit
-//! QAOA energy on the density matrix. Diff the output
-//! across revisions (or across `RAYON_NUM_THREADS` settings) to check
-//! that a change left seeded sampling behaviour bit-identical:
+//! Determinism probe: prints seeded sampling histograms, one block per
+//! backend and engine, and the bits of three exact expectation values.
+//! Every sampling block runs the multiplicity-map forest; only the
+//! circuit decides whether its frontier forks:
+//!
+//! * `chain_chi32`, `lazy` — final-state samples
+//!   (`sample_final_bitstrings`) of unitary brickworks on the chain MPS
+//!   (chi=32) and the lazy network: one node;
+//! * `statevector_map` — an 8-qubit map wide enough to fan its
+//!   redistribution out across Rayon threads: one node;
+//! * `forest_mid`, `forest_fin` — a noisy, mid-circuit-measured circuit
+//!   on the statevector: channel and measurement forks;
+//! * `sample_final` — final-state samples of the same circuit, its
+//!   measurements stripped: channel forks only;
+//! * `with_hooks` — the paper's three-hook constructor
+//!   (`Simulator::with_hooks`) on the `statevector_map` circuit; must
+//!   print the same block;
+//! * `density` — a noisy 8-qubit circuit on the density matrix, whose
+//!   exact channels keep it at one node;
+//! * `chform` — a 20-qubit Clifford circuit on the CH form: one node;
+//! * `tableau_mid`, `tableau_fin` — a 16-qubit mid-circuit-measured
+//!   Clifford circuit on the tableau: measurement forks;
+//! * `pmps` — a noisy 12-qubit brickwork on the purified MPS, which
+//!   absorbs each channel exactly: one node;
+//! * `exact_expectation` — a 14-qubit QAOA MaxCut energy and a 16-qubit
+//!   transverse-field Ising energy on the statevector (diagonal gate ops
+//!   and the grouped Pauli pass, across two shards for the 16-qubit
+//!   state) and an 8-qubit QAOA energy on the density matrix.
+//!
+//! Diff the output across revisions (or across `RAYON_NUM_THREADS`
+//! settings) to check that a change left seeded sampling behaviour
+//! bit-identical:
 //!
 //! ```text
 //! cargo run --release --example hist_probe > before.txt
@@ -191,6 +206,10 @@ fn main() {
     let result = sim.run(&noisy, 3000).unwrap();
     print_histogram("forest_mid", result.histogram("mid").unwrap());
     print_histogram("forest_fin", result.histogram("fin").unwrap());
+    print_samples(
+        "sample_final",
+        &sim.sample_final_bitstrings(&noisy, 2000).unwrap(),
+    );
 
     // The scalar per-candidate hook: must print the same block as
     // statevector_map.

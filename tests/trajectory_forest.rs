@@ -127,7 +127,7 @@ fn replay_agrees_with_exact_channels_on_noisy_ghz() {
             N,
             SimulatorOptions {
                 seed: Some(92),
-                trajectory_forest: false,
+                parallelize_samples: false,
                 ..Default::default()
             },
         );
@@ -209,7 +209,7 @@ fn forest_budget_exhaustion_falls_back_to_replay() {
     let run = |opts: SimulatorOptions| run_with(BackendKind::StateVector, &circuit, N, opts);
     let replay = run(SimulatorOptions {
         seed: Some(95),
-        trajectory_forest: false,
+        parallelize_samples: false,
         ..Default::default()
     });
     // a 1-node budget cannot hold the forked frontier: the run must

@@ -100,10 +100,12 @@ pub struct SimulatorOptions {
     /// `2 x max_forest_nodes` live states. A circuit that never forks
     /// stays at one node and never meets the budget.
     pub max_forest_nodes: usize,
-    /// Run [`Simulator::run_sweep`] resolvers across Rayon threads
-    /// (default `false`). Every resolver's run derives its own seed
-    /// stream from [`SimulatorOptions::seed`] exactly as the sequential
-    /// loop does, so per-resolver results are bit-identical either way.
+    /// Run the resolvers of [`Simulator::run_sweep`] and
+    /// [`Simulator::expectation_sweep`] across Rayon threads (default
+    /// `false`). Every resolver's run derives its own seed stream from
+    /// [`SimulatorOptions::seed`] exactly as the sequential loop does,
+    /// so per-resolver results are bit-identical either way. Only the
+    /// two sweeps read it; a single run fans out on its own.
     pub parallel_sweep: bool,
     /// Run the full multi-pass optimizer pipeline
     /// ([`bgls_circuit::optimize`]) on circuits before sampling them
@@ -421,35 +423,6 @@ impl<S: BglsState + Send + Sync> Simulator<S> {
             indexed.par_iter().map(|&entry| run_one(entry)).collect()
         } else {
             resolvers.iter().enumerate().map(run_one).collect()
-        }
-    }
-
-    /// Runs a batch of already-resolved circuits in one fan-out, each
-    /// with its own seed (`None` draws entropy for that entry). This is
-    /// the serving-layer companion of [`Simulator::run_sweep`]: a batcher
-    /// that merges compatible requests needs every entry's result to be a
-    /// pure function of `(circuit, seed, repetitions)` — independent of
-    /// which other requests happen to share the batch — so each entry
-    /// runs under exactly its own seed rather than a position-derived
-    /// stream. Entry `i` is bit-identical to
-    /// `self.clone()` with `options.seed = jobs[i].1` running
-    /// `jobs[i].0` standalone, whether or not
-    /// [`SimulatorOptions::parallel_sweep`] spreads the batch across
-    /// Rayon threads.
-    pub fn run_batch(
-        &self,
-        jobs: &[(&Circuit, Option<u64>)],
-        repetitions: u64,
-    ) -> Result<Vec<RunResult>, SimError> {
-        let run_one = |&(circuit, seed): &(&Circuit, Option<u64>)| {
-            let mut sim = self.clone();
-            sim.options.seed = seed;
-            sim.run(circuit, repetitions)
-        };
-        if self.options.parallel_sweep && jobs.len() > 1 {
-            jobs.par_iter().map(run_one).collect()
-        } else {
-            jobs.iter().map(run_one).collect()
         }
     }
 
@@ -1794,38 +1767,6 @@ mod tests {
         for r in &results {
             let h = r.histogram("z").unwrap();
             assert_eq!(h.count_value(0b00) + h.count_value(0b11), 300);
-        }
-    }
-
-    #[test]
-    fn run_batch_entries_are_pure_functions_of_circuit_and_seed() {
-        let c2 = ghz(2);
-        let c3 = ghz(3);
-        let sim = Simulator::new(RefState::zero(3)).with_seed(99);
-        // the same (circuit, seed) entry must give bit-identical results
-        // no matter what else shares the batch, and regardless of the
-        // simulator's own seed
-        let solo = sim.run_batch(&[(&c3, Some(7))], 200).unwrap();
-        let mixed = sim
-            .run_batch(&[(&c2, Some(1)), (&c3, Some(7)), (&c3, Some(8))], 200)
-            .unwrap();
-        assert_eq!(solo[0].histogram("z"), mixed[1].histogram("z"));
-        // and it matches a standalone seeded run
-        let standalone = Simulator::new(RefState::zero(3))
-            .with_seed(7)
-            .run(&c3, 200)
-            .unwrap();
-        assert_eq!(solo[0].histogram("z"), standalone.histogram("z"));
-        // parallel fan-out agrees bit-for-bit
-        let par = Simulator::new(RefState::zero(3))
-            .with_options(SimulatorOptions {
-                parallel_sweep: true,
-                ..Default::default()
-            })
-            .run_batch(&[(&c2, Some(1)), (&c3, Some(7)), (&c3, Some(8))], 200)
-            .unwrap();
-        for (a, b) in mixed.iter().zip(&par) {
-            assert_eq!(a.histogram("z"), b.histogram("z"));
         }
     }
 

@@ -13,12 +13,12 @@
 //!   an [`ExecutionPlan`] — backend, [`ExecPath`], and the
 //!   [`bgls_core::SimulatorOptions`] that realize it,
 //! - [`SimulationService`] hosts a submission queue over the planner:
-//!   compatible requests merge into single `run_batch` /
-//!   `expectation_sweep` fan-outs, each drain takes a fair share of the
-//!   queue (capped by [`bgls_core::BatchPolicy`]), and seeded results are
-//!   memoized in a deterministic [`bgls_core::ResultCache`] — sound
-//!   because every seeded run is a pure function of
-//!   `(circuit, backend, options, seed, repetitions)`,
+//!   each drain takes a fair share of the queue (capped by
+//!   [`bgls_core::BatchPolicy`]) and runs every job standalone through
+//!   its own plan, identical requests in flight simulate once, and
+//!   seeded results are memoized in a deterministic
+//!   [`bgls_core::ResultCache`] — sound because every seeded run is a
+//!   pure function of `(circuit, backend, options, seed, repetitions)`,
 //! - [`ServiceHandle`] is the fault-tolerant async front door: a worker
 //!   pool over the service whose workers simulate their batches
 //!   concurrently, outside the service lock, with per-job
@@ -47,18 +47,16 @@
 //! ```
 
 #![warn(missing_docs)]
+// The public `plan` path may never panic, and a stray `unwrap` in the
+// serving modules is a worker-killing panic waiting to happen, so the
+// lint budget for the whole crate is zero (tests opt back in locally).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-// The serving modules are the availability-critical path: a stray
-// `unwrap` there is a worker-killing panic waiting to happen, so the
-// lint budget for them is zero (tests opt back in locally).
 mod cost;
-#[deny(clippy::unwrap_used, clippy::expect_used)]
 mod fault;
 mod planner;
 mod profile;
-#[deny(clippy::unwrap_used, clippy::expect_used)]
 mod serve;
-#[deny(clippy::unwrap_used, clippy::expect_used)]
 mod service;
 
 pub use cost::CostModel;

@@ -53,9 +53,9 @@ pub struct PlannerConfig {
     /// circuits automatically get the
     /// [`OptimizeConfig::stabilizer_safe`] subset so they stay on the
     /// stabilizer backends; expectation deliverables get only the
-    /// observable-lightcone prune (the one pass that commutes with
-    /// parameter resolution, keeping merged sweeps bit-identical to
-    /// standalone walks).
+    /// observable-lightcone prune, which keeps the circuit's diagonal
+    /// gates (`Rz`, `Rzz`, ...) as written for the exact walk's
+    /// diagonal phase ops instead of fusing them into dense blocks.
     pub optimize: Option<OptimizeConfig>,
 }
 
@@ -170,25 +170,29 @@ impl ExecutionPlan {
         Simulator::for_backend(self.backend, n.max(1), options)
     }
 
+    /// The width every execution of this plan simulates: the plan
+    /// circuit's width (never the raw submission's, which may include
+    /// lightcone-pruned qubits), widened to cover `observable`, and at
+    /// least 1.
+    pub(crate) fn width(&self, observable: Option<&PauliSum>) -> usize {
+        let observed = observable
+            .and_then(|o| observable_targets(o).last().map(|q| q.0 as usize + 1))
+            .unwrap_or(0);
+        self.circuit.num_qubits().max(observed).max(1)
+    }
+
     /// Runs the plan's circuit. The result is bit-identical to any
     /// other execution of the same `(circuit, plan, seed, repetitions)`
     /// tuple — the invariant the serving cache relies on.
     pub fn run(&self, repetitions: u64, seed: Option<u64>) -> Result<RunResult, SimError> {
-        self.simulator(self.circuit.num_qubits(), seed)
+        self.simulator(self.width(None), seed)
             .run(&self.circuit, repetitions)
     }
 
     /// Exact expectation of `observable` on the final state under this
     /// plan (deterministic; consumes no randomness).
     pub fn expectation(&self, observable: &PauliSum) -> Result<f64, SimError> {
-        let n = self.circuit.num_qubits().max(
-            observable_targets(observable)
-                .iter()
-                .map(|q| q.0 as usize + 1)
-                .max()
-                .unwrap_or(0),
-        );
-        self.simulator(n, None)
+        self.simulator(self.width(Some(observable)), None)
             .expectation_value(&self.circuit, observable)
     }
 
@@ -355,9 +359,10 @@ pub fn plan_prepared(
         }
     }
     // Expectation deliverables execute the observable-lightcone-pruned
-    // circuit (the one pass that commutes with parameter resolution, so
-    // merged sweeps stay bit-identical to standalone walks); histograms
-    // execute the full pipeline output.
+    // circuit: the full pipeline would fuse diagonal gates such as
+    // `Rzz` into dense blocks, which the exact walk applies as cheap
+    // diagonal phase ops when left alone. Histograms execute the full
+    // pipeline output.
     let (circuit, rewrite, profile) = match deliverable {
         Deliverable::Histogram { .. } => {
             (prep.circuit.clone(), prep.rewrite.clone(), &prep.profile)
@@ -829,6 +834,7 @@ fn too_wide(profile: &CircuitProfile, config: &PlannerConfig) -> SimError {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use bgls_circuit::{Channel, Gate, Operation, Qubit};

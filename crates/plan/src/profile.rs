@@ -103,8 +103,9 @@ impl CircuitProfile {
                 }
                 if support.len() >= 2 && !op.is_measurement() {
                     p.entangling_gates += usize::from(op.as_gate().is_some());
-                    let lo = support.iter().map(|q| q.0 as usize).min().unwrap();
-                    let hi = support.iter().map(|q| q.0 as usize).max().unwrap();
+                    let (lo, hi) = support.iter().fold((usize::MAX, 0), |(lo, hi), q| {
+                        (lo.min(q.0 as usize), hi.max(q.0 as usize))
+                    });
                     // Each crossing gate can at most multiply the cut's
                     // Schmidt rank by its operator-Schmidt rank: 2 for
                     // the controlled named gates (CNOT, CZ, Toffoli,
@@ -165,6 +166,7 @@ impl CircuitProfile {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use bgls_circuit::{Channel, Gate, Operation, Qubit};

@@ -54,10 +54,13 @@ const BACKOFF_NAP_CAP_MS: u64 = 50;
 /// Configuration of the serving front door.
 #[derive(Clone, Copy, Debug)]
 pub struct ServePolicy {
-    /// Worker threads draining the service. Also the batch share: each
-    /// take drains `ceil(eligible / workers)` queued jobs (up to
-    /// [`bgls_core::BatchPolicy::max_batch`]), so the workers split a
-    /// burst between them.
+    /// Worker threads draining the service (default: the host's
+    /// [`std::thread::available_parallelism`]). A worker runs its
+    /// batch's jobs one after another, so the workers are the
+    /// parallelism across jobs; each job's engine fans out on its own.
+    /// Also the batch share: each take drains `ceil(eligible / workers)`
+    /// queued jobs (up to [`bgls_core::BatchPolicy::max_batch`]), so the
+    /// workers split a burst between them.
     pub workers: usize,
     /// Bounded submission-channel depth; a full channel rejects
     /// [`ServiceHandle::submit`] with [`SimError::Invalid`].
@@ -71,7 +74,7 @@ pub struct ServePolicy {
 impl Default for ServePolicy {
     fn default() -> Self {
         ServePolicy {
-            workers: 2,
+            workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             queue_depth: 256,
             drain_on_shutdown: true,
         }
@@ -727,7 +730,11 @@ mod tests {
             }),
             ..ServiceConfig::default()
         };
-        ServiceHandle::start(config, ServePolicy::default()).unwrap()
+        let policy = ServePolicy {
+            workers: 2,
+            ..ServePolicy::default()
+        };
+        ServiceHandle::start(config, policy).unwrap()
     }
 
     /// Polls until a worker has taken the ticket's job into a batch.
@@ -746,7 +753,7 @@ mod tests {
             .submit(SimRequest::histogram(bell(), 40).with_seed(1))
             .unwrap();
         wait_until_taken(&handle, a);
-        // another shot count, so another merge group
+        // another shot count, so not a duplicate of A
         let b = handle
             .submit(SimRequest::histogram(bell(), 80).with_seed(2))
             .unwrap();

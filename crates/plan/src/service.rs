@@ -13,14 +13,15 @@
 //!    *bit-identical* to re-running — not an approximation.
 //! 2. Cache misses are deduplicated — a hot burst of identical requests
 //!    simulates once, even across batches executing at the same time
-//!    (a duplicate parks on the in-flight leader) — and merged into
-//!    compatibility groups — same plan
-//!    fingerprint, width, and shot count for histograms; same base
-//!    circuit and observable for expectation sweeps. Each group becomes
-//!    ONE engine fan-out: [`Simulator::run_batch`] for histograms
-//!    (every entry under exactly its own seed, so merging never changes
-//!    any result) or [`Simulator::expectation_sweep`] for expectations.
-//! 3. Each drain takes a fair share of the queue: `ceil(eligible /
+//!    (a duplicate parks on the in-flight leader and settles from its
+//!    outcome).
+//! 3. Every remaining job runs standalone through its own plan: the
+//!    plan's simulator under the job's seed, one job after another,
+//!    each timed on its own. Jobs in a batch share no simulation, so a
+//!    job's output is bit-identical to running its plan directly.
+//!    Parallelism across jobs comes from the [`crate::ServiceHandle`]
+//!    workers, and within a job from the engine's own fan-outs.
+//! 4. Each drain takes a fair share of the queue: `ceil(eligible /
 //!    drainers)` jobs, clamped to `[1, max_batch]` ([`BatchPolicy`]).
 //!    `eligible` counts the queued jobs outside a retry backoff window;
 //!    `drainers` is 1 for [`SimulationService::run_pending`] and the
@@ -29,7 +30,7 @@
 //!
 //! # Failure domains
 //!
-//! Every batch member is its own failure domain. A panicking kernel is
+//! Every job is its own failure domain. A panicking kernel is
 //! caught (`catch_unwind`) and surfaces as a typed
 //! [`SimError::WorkerPanic`] on that job alone; the drain loop, the
 //! other batch members, and the service itself keep running. Failed
@@ -48,11 +49,11 @@ use crate::planner::{
     degrade, plan_prepared, prepare, Deliverable, ExecPath, ExecutionPlan, PreparedCircuit,
 };
 use crate::PlannerConfig;
-use bgls_backend::{BackendKind, SimulatorExt};
-use bgls_circuit::{lightcone_prune_for, Circuit, ParamResolver, PauliSum, Qubit, RewriteStats};
+use bgls_backend::BackendKind;
+use bgls_circuit::{Circuit, ParamResolver, PauliSum, RewriteStats};
 use bgls_core::{
     BatchPolicy, CacheKey, CacheStats, Clock, MonotonicClock, OpFaultFn, ResultCache, RetryPolicy,
-    RunResult, SimError, Simulator,
+    RunResult, SimError,
 };
 use bgls_linalg::{FxHashMap, FxHasher};
 use std::collections::VecDeque;
@@ -204,13 +205,16 @@ pub struct JobReport {
     /// What the optimizer pipeline did to the circuit this job executed
     /// (all-zero deltas when the pipeline was off).
     pub rewrite: RewriteStats,
-    /// The calibrated cost model's wall-clock prediction for this job's
-    /// share of its batch, in milliseconds. `None` while the model's
-    /// `(backend, path)` bucket is still warming up, and for cache hits.
+    /// The calibrated cost model's wall-clock prediction for the run
+    /// that produced the output, in milliseconds. `None` while the
+    /// model's `(backend, path)` bucket is still warming up, and for
+    /// cache hits.
     pub predicted_ms: Option<f64>,
-    /// This job's share of its batch's measured wall-clock, in
-    /// milliseconds, apportioned by static cost units. `None` for cache
-    /// hits (nothing executed).
+    /// Wall-clock time of the run that produced the output, in
+    /// milliseconds: the job's last attempt, timed on its own (a
+    /// duplicate reports the run of the job it parked on). Concurrent
+    /// workers share the cores, so it includes their contention. `None`
+    /// for cache hits (nothing executed).
     pub measured_ms: Option<f64>,
 }
 
@@ -305,8 +309,8 @@ pub struct ServiceStats {
     pub failed: u64,
     /// Drain batches executed.
     pub batches: u64,
-    /// Jobs that shared an engine fan-out with at least one other job
-    /// (the batching win).
+    /// Duplicate jobs served by the run of an identical job in flight
+    /// (the dedup win) instead of simulating themselves.
     pub merged_jobs: u64,
     /// Distinct simulations actually executed (after cache hits and
     /// deduplication).
@@ -327,10 +331,8 @@ pub struct ServiceStats {
 
 struct PendingJob {
     id: u64,
-    /// Unresolved circuit — the base of `expectation_sweep` merging.
-    base: Circuit,
-    resolver: ParamResolver,
-    /// Resolver already applied; what histogram jobs execute.
+    /// The submitted circuit with its resolver applied — what the cache
+    /// keys hash. Jobs execute `plan.circuit`.
     resolved: Circuit,
     plan: ExecutionPlan,
     seed: Option<u64>,
@@ -353,10 +355,22 @@ struct PendingJob {
     deadline: Option<(u64, u64)>,
     /// Earliest clock time the job may execute (retry backoff).
     not_before_ms: u64,
-    /// Calibrated wall-clock prediction captured just before execution.
+    /// Calibrated wall-clock prediction captured when the job was taken.
     predicted_ms: Option<f64>,
-    /// Measured share of the executing batch's wall-clock.
+    /// Wall-clock time of the job's last successful run.
     measured_ms: Option<f64>,
+}
+
+impl PendingJob {
+    /// Static cost units of one run under the current plan: the plan
+    /// circuit's units, times the shot count for histograms.
+    fn units(&self) -> f64 {
+        let scale = match self.kind {
+            JobKind::Histogram { repetitions } => repetitions as f64,
+            JobKind::Expectation { .. } => 1.0,
+        };
+        CostModel::static_units(&self.plan.profile, &self.plan.backend) * scale
+    }
 }
 
 enum JobKind {
@@ -423,7 +437,6 @@ pub(crate) type Phases = Arc<Mutex<FxHashMap<u64, JobStatus>>>;
 /// lock.
 pub(crate) struct Resolved {
     request: SimRequest,
-    resolver: ParamResolver,
     circuit: Circuit,
     /// Structural hash of `circuit` — the prepared-circuit memo key.
     hash: u64,
@@ -436,7 +449,6 @@ impl Resolved {
         let hash = circuit.structural_hash();
         Resolved {
             request,
-            resolver,
             circuit,
             hash,
         }
@@ -448,57 +460,39 @@ impl Resolved {
     }
 }
 
-/// A batch drained by [`SimulationService::take_batch`]: owned jobs
-/// grouped into engine fan-outs, plus what executing them needs from
-/// the configuration. [`Batch::execute`] runs it without the service.
+/// A batch drained by [`SimulationService::take_batch`]: owned jobs,
+/// each with the fault the sieve picked for this attempt, plus what
+/// executing them needs from the configuration. [`Batch::execute`] runs
+/// it without the service.
 pub(crate) struct Batch {
-    work: Vec<Work>,
+    jobs: Vec<(PendingJob, InjectedFault)>,
     fault: Option<FaultPlan>,
     clock: Arc<dyn Clock>,
     degraded_shots: u64,
-}
-
-/// One engine call inside a [`Batch`].
-enum Work {
-    /// A job executed in its own failure domain: one the fault sieve
-    /// selected, or a degraded shot estimate (those never merge).
-    Alone(Box<PendingJob>, InjectedFault),
-    /// One merged `run_batch` fan-out; `units` are each job's static
-    /// cost units.
-    Histogram {
-        n: usize,
-        repetitions: u64,
-        jobs: Vec<PendingJob>,
-        units: Vec<f64>,
-    },
-    /// One merged `expectation_sweep` over a shared base circuit.
-    Expectation {
-        jobs: Vec<PendingJob>,
-        units: Vec<f64>,
-    },
 }
 
 /// What [`Batch::execute`] hands back to [`SimulationService::settle`]:
 /// plain per-job outcomes and the measurements to book.
 pub(crate) struct Executed {
     outcomes: Vec<(PendingJob, Result<JobOutput, SimError>)>,
-    /// `(backend, path, static units, wall ms)` of each merged fan-out
-    /// that succeeded — the cost model's observations.
+    /// `(backend, path, static units, wall ms)` of each run that
+    /// succeeded with no fault injected — the cost model's observations.
     observed: Vec<(BackendKind, ExecPath, f64, f64)>,
-    /// Counter increments: `simulated_jobs`, `merged_jobs`,
-    /// `panics_caught` and `faults_injected`.
+    /// Counter increments: `simulated_jobs`, `panics_caught` and
+    /// `faults_injected`.
     tally: ServiceStats,
 }
 
 /// The planner-driven batch simulation host. Each drain is three steps:
-/// `take_batch` (queue, cache and dedup decisions, grouping), `execute`
-/// (the simulation, which needs no `&mut self`) and `settle` (cache
-/// inserts, retry and degrade, counters).
-/// [`SimulationService::run_pending`] runs the three back to back. The async front door ([`crate::ServiceHandle`])
-/// holds its service lock only around take and settle, so its workers
-/// execute batches concurrently. Seeded results stay deterministic:
-/// every job's output is a pure function of its plan and seed, whatever
-/// batch (or concurrent batch) it rode in.
+/// `take_batch` (queue, cache and dedup decisions, the fault sieve),
+/// `execute` (the simulation, which needs no `&mut self`) and `settle`
+/// (cache inserts, retry and degrade, counters).
+/// [`SimulationService::run_pending`] runs the three back to back, so
+/// it simulates a batch's jobs one at a time. The async front door
+/// ([`crate::ServiceHandle`]) holds its service lock only around take
+/// and settle, so its workers execute batches concurrently. Seeded
+/// results stay deterministic: every job runs standalone, so its output
+/// is a pure function of its plan and seed, whatever batch it rode in.
 pub struct SimulationService {
     config: ServiceConfig,
     queue: VecDeque<PendingJob>,
@@ -613,7 +607,6 @@ impl SimulationService {
         }
         let Resolved {
             request,
-            resolver,
             circuit: resolved,
             hash,
         } = resolved;
@@ -643,8 +636,6 @@ impl SimulationService {
         lock(&self.phases).insert(id, JobStatus::Pending);
         self.queue.push_back(PendingJob {
             id,
-            base: request.circuit,
-            resolver,
             resolved,
             plan,
             seed,
@@ -830,8 +821,8 @@ impl SimulationService {
     /// Drains one batch of [`SimulationService::batch_size`] jobs and
     /// makes every decision that needs the service: deadlines and backoff
     /// windows, cache hits (settled here), dedup against the leaders of
-    /// every batch in flight, the fault sieve, and grouping into engine
-    /// fan-outs with their cost predictions. `None` when no queued job is eligible.
+    /// every batch in flight, the fault sieve, and each job's cost
+    /// prediction. `None` when no queued job is eligible.
     pub(crate) fn take_batch(&mut self) -> Option<Batch> {
         let now = self.clock.now_ms();
         let want = self.share(now);
@@ -881,7 +872,12 @@ impl SimulationService {
             if memoize {
                 if let Some(key) = job.dedup_key {
                     if let Some(hit) = self.cache.get(&key) {
-                        let report = Self::report_for(&job, (*hit).clone());
+                        // nothing runs: no prediction, no measurement
+                        let report = JobReport {
+                            predicted_ms: None,
+                            measured_ms: None,
+                            ..Self::report_for(&job, (*hit).clone())
+                        };
                         self.finish(job.id, Ok(report));
                         continue;
                     }
@@ -895,90 +891,30 @@ impl SimulationService {
             misses.push(job);
         }
 
-        // The fault sieve: jobs the FaultPlan selects are pulled out of
-        // the merge groups and executed (or poisoned) individually so an
-        // injected fault never contaminates a merged fan-out.
-        let mut work: Vec<Work> = Vec::new();
-        let mut clean: Vec<PendingJob> = Vec::new();
-        match &self.config.fault {
-            Some(fp) if !fp.is_inert() => {
-                for job in misses {
-                    match fp.decide(job.id, job.attempt, job.plan.backend) {
-                        InjectedFault::None => clean.push(job),
-                        injected => work.push(Work::Alone(Box::new(job), injected)),
-                    }
-                }
-            }
-            _ => clean = misses,
-        }
-
-        // Group the clean misses into compatible engine fan-outs. The
-        // fingerprint covers backend, path, and result-affecting
-        // options, so groups are homogeneous.
-        let mut hist_groups: FxHashMap<(u64, usize, u64), Vec<PendingJob>> = FxHashMap::default();
-        let mut exp_groups: FxHashMap<(u64, u64, u64), Vec<PendingJob>> = FxHashMap::default();
-        for job in clean {
-            match &job.kind {
-                JobKind::Histogram { repetitions } => {
-                    // Width from the plan's (optimizer-rewritten) circuit:
-                    // a lightcone-pruned circuit must not allocate state
-                    // for the raw submission's dead qubits.
-                    let group = (
-                        job.plan.fingerprint(),
-                        job.plan.circuit.num_qubits().max(1),
-                        *repetitions,
-                    );
-                    hist_groups.entry(group).or_default().push(job);
-                }
-                JobKind::Expectation { obs_fp, .. } => {
-                    let group = (job.plan.fingerprint(), job.base.structural_hash(), *obs_fp);
-                    exp_groups.entry(group).or_default().push(job);
-                }
-            }
-        }
-        for ((_, n, repetitions), mut jobs) in hist_groups {
-            let units = self.predict(&mut jobs, repetitions as f64);
-            work.push(Work::Histogram {
-                n,
-                repetitions,
-                jobs,
-                units,
-            });
-        }
-        for (_, mut jobs) in exp_groups {
-            if jobs[0].plan.path == ExecPath::ShotEstimate {
-                // degraded shot estimates never merge — each runs
-                // individually under its own seed
-                work.extend(
-                    jobs.into_iter()
-                        .map(|j| Work::Alone(Box::new(j), InjectedFault::None)),
-                );
-                continue;
-            }
-            let units = self.predict(&mut jobs, 1.0);
-            work.push(Work::Expectation { jobs, units });
-        }
+        // The fault sieve picks each job's injected fault for this
+        // attempt; the cost model predicts each job's run.
+        let jobs = misses
+            .into_iter()
+            .map(|mut job| {
+                job.predicted_ms =
+                    self.cost
+                        .predict_ms(&job.plan.backend, job.plan.path, job.units());
+                let injected = self
+                    .config
+                    .fault
+                    .as_ref()
+                    .map_or(InjectedFault::None, |fp| {
+                        fp.decide(job.id, job.attempt, job.plan.backend)
+                    });
+                (job, injected)
+            })
+            .collect();
         Some(Batch {
-            work,
+            jobs,
             fault: self.config.fault.clone(),
             clock: Arc::clone(&self.clock),
             degraded_shots: self.config.degraded_shots,
         })
-    }
-
-    /// Static cost units of each job in a homogeneous group (times
-    /// `scale`, the shot count for histograms), recording the cost
-    /// model's calibrated prediction on each job.
-    fn predict(&self, jobs: &mut [PendingJob], scale: f64) -> Vec<f64> {
-        let backend = jobs[0].plan.backend;
-        let path = jobs[0].plan.path;
-        jobs.iter_mut()
-            .map(|job| {
-                let units = CostModel::static_units(&job.plan.profile, &backend) * scale;
-                job.predicted_ms = self.cost.predict_ms(&backend, path, units);
-                units
-            })
-            .collect()
     }
 
     /// Books an executed batch: counters, cost observations, and every
@@ -991,7 +927,6 @@ impl SimulationService {
             tally,
         } = executed;
         self.stats.simulated_jobs += tally.simulated_jobs;
-        self.stats.merged_jobs += tally.merged_jobs;
         self.stats.panics_caught += tally.panics_caught;
         self.stats.faults_injected += tally.faults_injected;
         for (backend, path, units, ms) in observed {
@@ -1106,48 +1041,35 @@ impl SimulationService {
 }
 
 impl Batch {
-    /// Executes every fan-out of the batch, each under `catch_unwind`:
-    /// the injected fault latency, the merged fan-outs, and per-job
-    /// isolation re-runs of any fan-out that fails. Touches no service
-    /// state.
+    /// Executes the batch's jobs one after another after the injected
+    /// fault latency: each runs standalone through its own plan, inside
+    /// its own `catch_unwind` failure domain. Touches no service state.
     pub(crate) fn execute(self) -> Executed {
         let mut out = Executed {
-            outcomes: Vec::new(),
+            outcomes: Vec::with_capacity(self.jobs.len()),
             observed: Vec::new(),
             tally: ServiceStats::default(),
         };
         if let Some(fp) = &self.fault {
-            if fp.latency_ms > 0 && !self.work.is_empty() {
+            if fp.latency_ms > 0 && !self.jobs.is_empty() {
                 // artificial service latency, once per executed batch
                 self.clock.sleep_ms(fp.latency_ms);
             }
         }
-        for work in self.work {
-            match work {
-                Work::Alone(job, injected) => {
-                    out.run_alone(*job, injected, self.fault.as_ref(), self.degraded_shots)
-                }
-                Work::Histogram {
-                    n,
-                    repetitions,
-                    jobs,
-                    units,
-                } => out.run_histogram_group(n, repetitions, jobs, &units, self.degraded_shots),
-                Work::Expectation { jobs, units } => {
-                    out.run_expectation_group(jobs, &units, self.degraded_shots)
-                }
-            }
+        for (job, injected) in self.jobs {
+            out.run(job, injected, self.fault.as_ref(), self.degraded_shots);
         }
         out
     }
 }
 
 impl Executed {
-    /// One job in its own failure domain, with the fault the sieve
-    /// picked for it (if any) injected.
-    fn run_alone(
+    /// One attempt at `job`, timed on its own, with the fault the sieve
+    /// picked for it (if any) injected. A successful run records its
+    /// wall time on the job; a clean one is also a cost observation.
+    fn run(
         &mut self,
-        job: PendingJob,
+        mut job: PendingJob,
         injected: InjectedFault,
         fault: Option<&FaultPlan>,
         degraded_shots: u64,
@@ -1155,6 +1077,7 @@ impl Executed {
         if injected != InjectedFault::None {
             self.tally.faults_injected += 1;
         }
+        let started = Instant::now();
         let outcome = match injected {
             InjectedFault::None => self.run_single_guarded(&job, None, degraded_shots),
             InjectedFault::Panic => {
@@ -1174,134 +1097,15 @@ impl Executed {
                 self.run_single_guarded(&job, armed, degraded_shots)
             }
         };
+        if outcome.is_ok() {
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            job.measured_ms = Some(ms);
+            if injected == InjectedFault::None {
+                self.observed
+                    .push((job.plan.backend, job.plan.path, job.units(), ms));
+            }
+        }
         self.outcomes.push((job, outcome));
-    }
-
-    /// One merged `run_batch` fan-out: every entry executes under its
-    /// own seed, so each job's histogram is bit-identical to a
-    /// standalone [`ExecutionPlan::run`] — batch composition never
-    /// leaks into results. The fan-out runs under `catch_unwind`; on
-    /// any group-level failure (error or panic) each entry re-runs
-    /// individually so every job gets its own isolated verdict.
-    fn run_histogram_group(
-        &mut self,
-        n: usize,
-        repetitions: u64,
-        jobs: Vec<PendingJob>,
-        units: &[f64],
-        degraded_shots: u64,
-    ) {
-        let backend = jobs[0].plan.backend;
-        let path = jobs[0].plan.path;
-        let mut options = jobs[0].plan.options.clone();
-        options.parallel_sweep = true; // fan the merged batch across threads
-        let sim = Simulator::for_backend(backend, n, options);
-        // Each job executes its plan's (optimizer-rewritten) circuit;
-        // the plan fingerprint in the group key guarantees every member
-        // went through the same pipeline.
-        let entries: Vec<(&Circuit, Option<u64>)> =
-            jobs.iter().map(|j| (&j.plan.circuit, j.seed)).collect();
-        let started = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| sim.run_batch(&entries, repetitions)));
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        match attempt {
-            Ok(Ok(results)) => {
-                let outputs = results
-                    .into_iter()
-                    .map(|r| JobOutput::Histogram(Arc::new(r)));
-                self.merged(backend, path, jobs, units, outputs.collect(), elapsed_ms);
-            }
-            // A merged fan-out reports only its first error — and a
-            // panic poisons the whole attempt. Isolate: re-run each
-            // entry in its own failure domain.
-            _ => self.isolate(jobs, degraded_shots),
-        }
-    }
-
-    /// One merged `expectation_sweep` fan-out over the group's shared
-    /// base circuit: entries differ only in their parameter bindings.
-    /// The walk is deterministic, so merging is trivially sound.
-    fn run_expectation_group(&mut self, jobs: Vec<PendingJob>, units: &[f64], degraded_shots: u64) {
-        let observable = match &jobs[0].kind {
-            JobKind::Expectation { observable, .. } => observable,
-            JobKind::Histogram { .. } => unreachable!("histogram job in expectation group"),
-        };
-        let backend = jobs[0].plan.backend;
-        let path = jobs[0].plan.path;
-        let mut options = jobs[0].plan.options.clone();
-        options.parallel_sweep = true;
-        // The observable lightcone commutes with parameter resolution
-        // (it drops ops by support alone), so pruning the shared base
-        // yields exactly the per-job plan circuits after resolution —
-        // the merged sweep stays bit-identical to standalone walks.
-        let mut targets: Vec<Qubit> = observable
-            .terms()
-            .iter()
-            .flat_map(|(_, p)| p.support().into_iter().map(|q| Qubit(q as u32)))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        let pruned;
-        let base = if jobs[0].plan.optimize.map(|c| c.lightcone).unwrap_or(false) {
-            pruned = lightcone_prune_for(&jobs[0].base, &targets);
-            &pruned
-        } else {
-            &jobs[0].base
-        };
-        // Width from the (possibly pruned) base, extended to cover the
-        // observable's support — never the raw submission width.
-        let n = base
-            .num_qubits()
-            .max(targets.iter().map(|q| q.0 as usize + 1).max().unwrap_or(0))
-            .max(1);
-        let sim = Simulator::for_backend(backend, n, options);
-        let resolvers: Vec<ParamResolver> = jobs.iter().map(|j| j.resolver.clone()).collect();
-        let started = Instant::now();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            sim.expectation_sweep(base, &resolvers, observable)
-        }));
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        match attempt {
-            Ok(Ok(values)) => {
-                let outputs = values.into_iter().map(JobOutput::Expectation).collect();
-                self.merged(backend, path, jobs, units, outputs, elapsed_ms);
-            }
-            _ => self.isolate(jobs, degraded_shots),
-        }
-    }
-
-    /// Books a successful merged fan-out: its cost observation, and each
-    /// job's output with its share of the wall-clock by static units.
-    fn merged(
-        &mut self,
-        backend: BackendKind,
-        path: ExecPath,
-        jobs: Vec<PendingJob>,
-        units: &[f64],
-        outputs: Vec<JobOutput>,
-        elapsed_ms: f64,
-    ) {
-        let total_units: f64 = units.iter().sum();
-        let merged = jobs.len() > 1;
-        self.tally.simulated_jobs += jobs.len() as u64;
-        self.observed.push((backend, path, total_units, elapsed_ms));
-        for ((mut job, output), u) in jobs.into_iter().zip(outputs).zip(units) {
-            if merged {
-                self.tally.merged_jobs += 1;
-            }
-            if total_units > 0.0 {
-                job.measured_ms = Some(elapsed_ms * u / total_units);
-            }
-            self.outcomes.push((job, Ok(output)));
-        }
-    }
-
-    /// Re-runs each job of a failed fan-out in its own failure domain.
-    fn isolate(&mut self, jobs: Vec<PendingJob>, degraded_shots: u64) {
-        for job in jobs {
-            let outcome = self.run_single_guarded(&job, None, degraded_shots);
-            self.outcomes.push((job, outcome));
-        }
     }
 
     /// Runs one job standalone inside its own `catch_unwind` failure
@@ -1329,31 +1133,19 @@ impl Executed {
     }
 }
 
-/// Standalone execution of one job under its current plan. By the
-/// engine determinism contract the result is bit-identical to the
-/// merged fan-out path for the same `(circuit, plan, seed)`.
+/// Standalone execution of one job under its current plan, on the
+/// plan's simulator at [`ExecutionPlan::width`] under the job's seed —
+/// bit-identical to running the plan directly.
 fn run_single(
     job: &PendingJob,
     armed: Option<OpFaultFn>,
     degraded_shots: u64,
 ) -> Result<JobOutput, SimError> {
-    // Width from the plan's (optimizer-rewritten) circuit, extended
-    // to cover the observable for expectation jobs — never the raw
-    // submission width, which may include lightcone-pruned qubits.
-    let obs_width = match &job.kind {
-        JobKind::Expectation { observable, .. } => observable
-            .terms()
-            .iter()
-            .flat_map(|(_, p)| p.support())
-            .map(|q| q + 1)
-            .max()
-            .unwrap_or(0),
-        JobKind::Histogram { .. } => 0,
+    let observable = match &job.kind {
+        JobKind::Expectation { observable, .. } => Some(observable),
+        JobKind::Histogram { .. } => None,
     };
-    let n = job.plan.circuit.num_qubits().max(obs_width).max(1);
-    let mut options = job.plan.options.clone();
-    options.seed = job.seed;
-    let mut sim = Simulator::for_backend(job.plan.backend, n, options);
+    let mut sim = job.plan.simulator(job.plan.width(observable), job.seed);
     if let Some(hook) = armed {
         sim = sim.with_fallible_ops(hook);
     }
@@ -1361,15 +1153,12 @@ fn run_single(
         JobKind::Histogram { repetitions } => sim
             .run(&job.plan.circuit, *repetitions)
             .map(|r| JobOutput::Histogram(Arc::new(r))),
-        JobKind::Expectation { observable, .. } => {
-            if job.plan.path == ExecPath::ShotEstimate {
-                sim.estimate_expectation(&job.plan.circuit, observable, degraded_shots)
-                    .map(|estimate| JobOutput::Expectation(estimate.value))
-            } else {
-                sim.expectation_value(&job.plan.circuit, observable)
-                    .map(JobOutput::Expectation)
-            }
-        }
+        JobKind::Expectation { observable, .. } if job.plan.path == ExecPath::ShotEstimate => sim
+            .estimate_expectation(&job.plan.circuit, observable, degraded_shots)
+            .map(|estimate| JobOutput::Expectation(estimate.value)),
+        JobKind::Expectation { observable, .. } => sim
+            .expectation_value(&job.plan.circuit, observable)
+            .map(JobOutput::Expectation),
     }
 }
 
@@ -1456,8 +1245,8 @@ mod tests {
 
     #[test]
     fn merged_batches_match_standalone_runs() {
-        // Mixed traffic with distinct seeds merges into one run_batch
-        // fan-out; every entry must equal its standalone execution.
+        // Distinct seeds drained in one batch: every entry must equal
+        // its standalone execution.
         let mut svc = SimulationService::with_defaults();
         let ids: Vec<(JobId, u64)> = (0..5u64)
             .map(|s| {
@@ -1468,7 +1257,6 @@ mod tests {
             })
             .collect();
         svc.run_all();
-        assert!(svc.stats().merged_jobs >= 4);
         for (id, seed) in ids {
             let got = histogram_of(svc.take_result(id).unwrap().unwrap());
             let standalone = crate::plan_and_run(&bell(), 150, Some(seed))
@@ -1479,7 +1267,7 @@ mod tests {
     }
 
     #[test]
-    fn expectation_requests_merge_into_one_sweep_and_cache() {
+    fn expectation_requests_match_the_walk_and_cache() {
         let mut base = Circuit::new();
         base.push(
             Operation::gate(Gate::Ry(bgls_circuit::Param::symbol("theta")), vec![q(0)]).unwrap(),
@@ -1518,6 +1306,53 @@ mod tests {
         assert!(svc.cache_stats().hits >= 1);
         let got = svc.take_result(id).unwrap().unwrap().expectation().unwrap();
         assert!((got - 0.7f64.cos()).abs() < 1e-10);
+    }
+
+    /// Submits one request to a fresh service under `fault` and serves
+    /// it.
+    fn serve_one(fault: FaultPlan, request: SimRequest) -> (JobReport, ServiceStats) {
+        let mut svc = SimulationService::new(ServiceConfig {
+            fault: Some(fault),
+            ..ServiceConfig::default()
+        });
+        let id = svc.submit(request).unwrap();
+        svc.run_all();
+        (svc.take_result(id).unwrap().unwrap(), svc.stats())
+    }
+
+    #[test]
+    fn executed_jobs_report_their_own_wall_time_and_cache_hits_none() {
+        let request = || SimRequest::histogram(bell(), 200).with_seed(9);
+        let mut svc = SimulationService::with_defaults();
+        let ran = svc.submit(request()).unwrap();
+        svc.run_all();
+        let hit = svc.submit(request()).unwrap();
+        svc.run_all();
+        assert!(svc.take_result(ran).unwrap().unwrap().measured_ms.is_some());
+        let hit = svc.take_result(hit).unwrap().unwrap();
+        assert_eq!((hit.predicted_ms, hit.measured_ms), (None, None));
+
+        // a job run with an armed backend fault that never fires
+        let never_fires = FaultPlan {
+            backend_failure_probability: 1.0,
+            fail_at_op: u64::MAX,
+            ..FaultPlan::seeded(1)
+        };
+        let (report, stats) = serve_one(never_fires, request());
+        assert_eq!((stats.faults_injected, report.attempts), (1, 1));
+        assert!(report.measured_ms.is_some());
+
+        // an exact walk whose budget runs out degrades to a shot estimate
+        let mut rot = Circuit::new();
+        rot.push(Operation::gate(Gate::Ry(0.4.into()), vec![q(0)]).unwrap());
+        let exhausted = FaultPlan {
+            budget_exhaustion_probability: 1.0,
+            ..FaultPlan::seeded(1)
+        };
+        let request = SimRequest::expectation(rot, "Z0".parse().unwrap()).with_seed(3);
+        let (report, _) = serve_one(exhausted, request);
+        assert_eq!(report.path, ExecPath::ShotEstimate);
+        assert!(report.measured_ms.is_some());
     }
 
     #[test]

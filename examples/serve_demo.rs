@@ -1,5 +1,5 @@
 //! The batch simulation service on a mixed traffic stream: planner
-//! routing, request merging, fair-share batching, and the
+//! routing, dedup of identical requests, fair-share batching, and the
 //! deterministic result cache.
 //!
 //! ```text
@@ -125,7 +125,7 @@ fn main() {
     let cache = svc.cache_stats();
     println!("\nserved {completed} jobs in {} batches", stats.batches);
     println!(
-        "  simulated {} distinct jobs; {} rode along in merged fan-outs",
+        "  simulated {} distinct jobs; {} duplicates served by an identical job's run",
         stats.simulated_jobs, stats.merged_jobs
     );
     println!(

@@ -294,7 +294,6 @@ fn mixed_service_traffic_matches_standalone_execution() {
             .unwrap();
         assert!((got - t.cos()).abs() < 1e-10, "theta {t}: {got}");
     }
-    assert!(svc.stats().merged_jobs > 0, "traffic should have merged");
 }
 
 /// Submission-time rejection: infeasible circuits never enter the queue.

@@ -1,11 +1,13 @@
 //! Runtime-ISA-dispatched dense gate and reduction microkernels.
 //!
 //! The dense backends (state vector, vectorized density matrix) spend
-//! essentially all of their time in four kernel shapes: 1q-gate butterflies,
-//! 2q-gate 4-term updates, diagonal-gate phase multiplies, and `|z|^2`
-//! reductions. This module provides those kernels in split-re/im SIMD form
-//! for AVX2, AVX-512, and NEON (which runs the diagonal multiply as the
-//! scalar loop), plus a safe portable scalar path, and
+//! essentially all of their time in five kernel shapes: 1q-gate butterflies,
+//! 2q-gate 4-term updates, diagonal-gate phase multiplies, `|z|^2`
+//! reductions, and Pauli-term sums ([`pauli_lanes`]: one product per
+//! amplitude added under up to [`TERM_LANES`] sign patterns, one SIMD lane
+//! per term). This module provides those kernels in SIMD form for AVX2,
+//! AVX-512, and NEON (which runs the diagonal multiply and the term sums as
+//! the scalar loop), plus a safe portable scalar path, and
 //! selects an implementation **once at startup** via
 //! `is_x86_feature_detected!` / `is_aarch64_feature_detected!`. That replaces
 //! the old `-C target-cpu=native` build flag: one shipped binary now runs the
@@ -28,7 +30,12 @@
 //!   (lane `j` takes elements `8i + j` of the `f64` view, the tail starts at
 //!   lane 0, lanes fold in ascending order), so scalar, AVX2 (2×4 lanes),
 //!   AVX-512 (1×8 lanes), and NEON (4×2 lanes) all perform the exact same
-//!   additions in the exact same order.
+//!   additions in the exact same order;
+//! * [`pauli_lanes`] gives each term its own lane, and each lane performs
+//!   exactly the lone term's sequence: XOR the sign into the product's
+//!   bits, add, in index order from `+0`. Lanes never mix, so the block
+//!   width (8 scalar, 16 AVX2, 32 AVX-512 lanes; one lane for a lone term)
+//!   and how a caller splits its terms into calls change no bit.
 //!
 //! This is what lets the sharded state-vector layer assert 0-ulp agreement
 //! between forced-scalar and detected-SIMD runs, and lets CI force paths via
@@ -365,10 +372,153 @@ pub fn scale(s: &mut [C64], k: f64) {
     dispatch!(scale(s, k))
 }
 
+/// Pauli terms one [`pauli_lanes`] call sums, one accumulator lane each.
+pub const TERM_LANES: usize = 32;
+
+/// One `f64` sign bit (bit 63) per term lane.
+pub type LaneSigns = [u64; TERM_LANES];
+
+/// Per-lane `(real, imaginary)` sums returned by [`pauli_lanes`].
+pub type LaneSums = ([f64; TERM_LANES], [f64; TERM_LANES]);
+
+/// Sums one shared product per amplitude under each of up to
+/// [`TERM_LANES`] sign patterns, one lane per Pauli term: lane `t` is
+/// `sum_i (-1)^{s_t(i)} p(i)`, added in index order from `+0`.
+///
+/// * `partner = None`: `p(i) = |a[i]|^2` (the X-mask-0, diagonal case;
+///   the imaginary sums are `+0`).
+/// * `partner = Some((b, xl))`: `p(i) = conj(b[i ^ xl]) * a[i]`.
+///
+/// The sign bit (bit 63) `s_t(i)` is `sign[t]` at `i = 0`, and the step to
+/// index `i` XORs in `flips[i.trailing_zeros()][t]`. Applying it is an
+/// XOR of the product's bits, so each lane's add sequence is exactly a
+/// lone term's scalar loop, on every ISA path and for every block split
+/// of the terms: the sums are bit-identical to one call per term. Only
+/// the first `terms` lanes are summed; the rest are returned as `0.0`.
+///
+/// # Panics
+/// Panics unless `1 <= terms <= TERM_LANES`, `a.len() <= 2^flips.len()`,
+/// and, with a partner, `b.len() == a.len()` is a power of two above
+/// `xl`.
+pub fn pauli_lanes(
+    a: &[C64],
+    partner: Option<(&[C64], usize)>,
+    terms: usize,
+    sign: &LaneSigns,
+    flips: &[LaneSigns],
+) -> LaneSums {
+    assert!(
+        (1..=TERM_LANES).contains(&terms),
+        "1 to {TERM_LANES} terms per call"
+    );
+    assert!(
+        flips.len() >= usize::BITS as usize || a.len() <= 1usize << flips.len(),
+        "flip table shorter than the index walk"
+    );
+    if let Some((b, xl)) = partner {
+        assert_eq!(b.len(), a.len(), "partner slice differs in length");
+        assert!(
+            a.is_empty() || (a.len().is_power_of_two() && xl < a.len()),
+            "partner offset outside a power-of-two slice"
+        );
+    }
+    let mut out = ([0.0; TERM_LANES], [0.0; TERM_LANES]);
+    if a.is_empty() {
+        return out;
+    }
+    let walk = LaneWalk {
+        a,
+        partner,
+        sign,
+        flips,
+    };
+    dispatch!(pauli_lanes(&walk, terms, &mut out));
+    out
+}
+
+/// The inputs of one [`pauli_lanes`] call, shared by every lane block.
+struct LaneWalk<'a> {
+    a: &'a [C64],
+    partner: Option<(&'a [C64], usize)>,
+    sign: &'a LaneSigns,
+    flips: &'a [LaneSigns],
+}
+
+impl LaneWalk<'_> {
+    /// Runs `terms` lanes as blocks of `W` (a power of two dividing
+    /// [`TERM_LANES`]; one ISA's register budget): a lone term as a
+    /// one-lane block, up to 8 terms as one 8-lane block. Inlined into
+    /// each ISA's `#[target_feature]` function, so the compiler
+    /// vectorizes the lane loops at that ISA's width.
+    #[inline(always)]
+    fn run<const W: usize>(&self, terms: usize, out: &mut LaneSums) {
+        if terms == 1 {
+            self.block::<1>(0, terms, out);
+        } else if terms <= 8 {
+            self.block::<8>(0, terms, out);
+        } else {
+            for off in (0..terms).step_by(W) {
+                self.block::<W>(off, terms, out);
+            }
+        }
+    }
+
+    /// Lanes `off..off + N` in registers, for the diagonal or the
+    /// partnered product.
+    #[inline(always)]
+    fn block<const N: usize>(&self, off: usize, terms: usize, out: &mut LaneSums) {
+        let (re, im) = match self.partner {
+            None => self.walk::<N, true>(off, |i| (self.a[i].norm_sqr().to_bits(), 0)),
+            Some((b, xl)) => self.walk::<N, false>(off, |i| {
+                let t = b[i ^ xl].conj() * self.a[i];
+                (t.re.to_bits(), t.im.to_bits())
+            }),
+        };
+        let used = N.min(terms - off);
+        out.0[off..off + used].copy_from_slice(&re[..used]);
+        out.1[off..off + used].copy_from_slice(&im[..used]);
+    }
+
+    /// The index walk for lanes `off..off + N`: the signs, and the real
+    /// (plus, unless `DIAG`, imaginary) sums, live in `N`-lane arrays the
+    /// compiler keeps in vector registers.
+    #[inline(always)]
+    fn walk<const N: usize, const DIAG: bool>(
+        &self,
+        off: usize,
+        product: impl Fn(usize) -> (u64, u64),
+    ) -> ([f64; N], [f64; N]) {
+        // Bounds every lane slice below once, outside the walk.
+        assert!(off + N <= TERM_LANES);
+        let mut s: [u64; N] = self.sign[off..off + N].try_into().unwrap();
+        let mut re = [0.0f64; N];
+        let mut im = [0.0f64; N];
+        let mut add = |s: &[u64; N], (tr, ti): (u64, u64)| {
+            for j in 0..N {
+                re[j] += f64::from_bits(tr ^ s[j]);
+            }
+            if !DIAG {
+                for j in 0..N {
+                    im[j] += f64::from_bits(ti ^ s[j]);
+                }
+            }
+        };
+        add(&s, product(0));
+        for i in 1..self.a.len() {
+            let f = &self.flips[i.trailing_zeros() as usize][off..off + N];
+            for j in 0..N {
+                s[j] ^= f[j];
+            }
+            add(&s, product(i));
+        }
+        (re, im)
+    }
+}
+
 /// Canonical portable kernels. Every SIMD module below must match these
 /// bit-for-bit; the unit tests enforce it on whatever the host detects.
 mod scalar {
-    use super::{as_f64, as_f64_mut, C64};
+    use super::{as_f64, as_f64_mut, LaneSums, LaneWalk, C64};
 
     /// The one complex-product form every path shares:
     /// `(w.re*a.re - w.im*a.im, w.re*a.im + w.im*a.re)`.
@@ -470,11 +620,17 @@ mod scalar {
             *x *= k;
         }
     }
+
+    /// Blocks of 8 lanes: the widest whose signs and sums fit the 16
+    /// baseline registers.
+    pub(super) fn pauli_lanes(walk: &LaneWalk, terms: usize, out: &mut LaneSums) {
+        walk.run::<8>(terms, out)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{as_f64, as_f64_mut, scalar, C64};
+    use super::{as_f64, as_f64_mut, scalar, LaneSums, LaneWalk, C64};
     use std::arch::x86_64::*;
 
     /// Broadcast pair for one gate coefficient: `(splat(w.re),
@@ -737,11 +893,18 @@ mod avx2 {
             *x *= k;
         }
     }
+
+    /// Blocks of 16 lanes: 4 vectors each of signs, real and imaginary
+    /// sums stay in the 16 `ymm` registers.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn pauli_lanes(walk: &LaneWalk, terms: usize, out: &mut LaneSums) {
+        walk.run::<16>(terms, out)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{as_f64, as_f64_mut, avx2, scalar, C64};
+    use super::{as_f64, as_f64_mut, avx2, scalar, LaneSums, LaneWalk, C64};
     use std::arch::x86_64::*;
 
     /// 512-bit coefficient pair — four packed complexes per vector.
@@ -970,11 +1133,18 @@ mod avx512 {
             *x *= k;
         }
     }
+
+    /// Blocks of all 32 lanes: 4 vectors each of signs, real and
+    /// imaginary sums use 12 of the 32 `zmm` registers.
+    #[target_feature(enable = "avx512f,avx512vl,avx2")]
+    pub(super) fn pauli_lanes(walk: &LaneWalk, terms: usize, out: &mut LaneSums) {
+        walk.run::<32>(terms, out)
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{as_f64, as_f64_mut, scalar, C64};
+    use super::{as_f64, as_f64_mut, scalar, LaneSums, LaneWalk, C64};
     use std::arch::aarch64::*;
 
     /// Coefficient pair: one complex per 128-bit vector.
@@ -1158,6 +1328,13 @@ mod neon {
             *x *= k;
         }
     }
+
+    /// Two lanes per vector share no work across terms that the scalar
+    /// path's autovectorized blocks do not, so the scalar loop serves.
+    #[target_feature(enable = "neon")]
+    pub(super) fn pauli_lanes(walk: &LaneWalk, terms: usize, out: &mut LaneSums) {
+        scalar::pauli_lanes(walk, terms, out)
+    }
 }
 
 #[cfg(test)]
@@ -1328,6 +1505,72 @@ mod tests {
                 bits(&v)
             });
         }
+    }
+
+    /// Sign-bit rows for [`pauli_lanes`]: bit 63 set where `seed`'s
+    /// stream has its top bit set.
+    fn sign_rows(rows: usize, seed: u64) -> Vec<LaneSigns> {
+        let v = rng_amps(rows * TERM_LANES, seed);
+        v.chunks(TERM_LANES)
+            .map(|c| {
+                let mut row = [0u64; TERM_LANES];
+                for (r, z) in row.iter_mut().zip(c) {
+                    *r = ((z.re < 0.0) as u64) << 63;
+                }
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn term_lanes_equal_one_lane_per_term_on_every_isa() {
+        for len in [1usize, 2, 8, 64, 1024] {
+            let a = rng_amps(len, 7 + len as u64);
+            let b = rng_amps(len, 9 + len as u64);
+            let rows = len.trailing_zeros() as usize;
+            let sign = sign_rows(1, len as u64)[0];
+            let flips = sign_rows(rows, 3 + len as u64);
+            for partner in [None, Some((&b[..], len / 2)), Some((&b[..], len - 1))] {
+                for terms in [1usize, 3, 8, 9, 16, 17, 31, 32] {
+                    let call = || {
+                        let (re, im) = pauli_lanes(&a, partner, terms, &sign, &flips);
+                        re.iter()
+                            .zip(&im)
+                            .map(|(r, i)| (r.to_bits(), i.to_bits()))
+                            .collect()
+                    };
+                    assert_isa_bit_identical(call);
+                    let got = call();
+                    for (t, &lane) in got.iter().enumerate() {
+                        if t >= terms {
+                            assert_eq!(lane, (0, 0), "lane {t} past {terms} terms");
+                            continue;
+                        }
+                        // the lone term's scalar loop
+                        let (mut st, mut re, mut im) = (sign[t], 0.0f64, 0.0f64);
+                        for i in 0..len {
+                            if i > 0 {
+                                st ^= flips[i.trailing_zeros() as usize][t];
+                            }
+                            let p = match partner {
+                                None => C64::new(a[i].norm_sqr(), 0.0),
+                                Some((b, xl)) => b[i ^ xl].conj() * a[i],
+                            };
+                            re += f64::from_bits(p.re.to_bits() ^ st);
+                            im += f64::from_bits(p.im.to_bits() ^ st);
+                        }
+                        assert_eq!(lane, (re.to_bits(), im.to_bits()), "len {len} lane {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flip table shorter")]
+    fn term_lanes_reject_a_short_flip_table() {
+        let a = rng_amps(8, 1);
+        pauli_lanes(&a, None, 1, &[0; TERM_LANES], &sign_rows(2, 1));
     }
 
     #[test]

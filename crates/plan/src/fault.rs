@@ -97,14 +97,6 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan can never select a per-job fault (it may
-    /// still add latency).
-    pub fn is_inert(&self) -> bool {
-        self.panic_probability <= 0.0
-            && self.backend_failure_probability <= 0.0
-            && self.budget_exhaustion_probability <= 0.0
-    }
-
     /// A uniform roll in `[0, 1)` for one `(job, attempt, kind)` slot.
     /// Composed `stream_seed` hops keep the streams independent.
     fn roll(&self, job: u64, attempt: u32, kind_tag: u64) -> f64 {
@@ -253,20 +245,5 @@ mod tests {
             .filter(|&job| plan.decide(job, 0, BackendKind::StateVector) != InjectedFault::None)
             .count();
         assert!(faulted > 50 && faulted < 150, "got {faulted} of 200");
-    }
-
-    #[test]
-    fn an_inert_plan_reports_itself_inert() {
-        assert!(FaultPlan::default().is_inert());
-        assert!(FaultPlan {
-            latency_ms: 50,
-            ..FaultPlan::default()
-        }
-        .is_inert());
-        assert!(!FaultPlan {
-            budget_exhaustion_probability: 0.01,
-            ..FaultPlan::default()
-        }
-        .is_inert());
     }
 }

@@ -10,6 +10,7 @@ use bgls_circuit::{
 use bgls_core::{BitString, RunResult, SimError, Simulator, SimulatorOptions};
 use bgls_linalg::FxHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// What the caller wants out of the simulation.
 #[derive(Clone, Debug, PartialEq)]
@@ -163,7 +164,8 @@ pub struct ExecutionPlan {
 
 impl ExecutionPlan {
     /// A simulator realizing this plan for an `n`-qubit circuit, seeded
-    /// with `seed`.
+    /// with `seed`. `n` is clamped to at least 1: a zero-qubit circuit
+    /// still simulates on a one-qubit state.
     pub fn simulator(&self, n: usize, seed: Option<u64>) -> Simulator<AnyState> {
         let mut options = self.options.clone();
         options.seed = seed;
@@ -172,13 +174,14 @@ impl ExecutionPlan {
 
     /// The width every execution of this plan simulates: the plan
     /// circuit's width (never the raw submission's, which may include
-    /// lightcone-pruned qubits), widened to cover `observable`, and at
-    /// least 1.
+    /// lightcone-pruned qubits), widened to cover `observable`. It is 0
+    /// for an empty circuit and observable; [`ExecutionPlan::simulator`]
+    /// raises that to 1.
     pub(crate) fn width(&self, observable: Option<&PauliSum>) -> usize {
         let observed = observable
             .and_then(|o| observable_targets(o).last().map(|q| q.0 as usize + 1))
             .unwrap_or(0);
-        self.circuit.num_qubits().max(observed).max(1)
+        self.circuit.num_qubits().max(observed)
     }
 
     /// Runs the plan's circuit. The result is bit-identical to any
@@ -264,26 +267,35 @@ pub fn plan(
     plan_prepared(&prepare(circuit, config), deliverable, config, None)
 }
 
-/// A circuit profiled and run through the configured optimizer pipeline
-/// once, reusable across every deliverable planned for it. The service
-/// memoizes these behind the circuit's structural hash so cache-hit
-/// traffic never re-profiles or re-optimizes.
+/// A circuit profiled once, reusable across every deliverable planned
+/// for it. The service memoizes these behind the circuit's structural
+/// hash so cache-hit traffic never re-profiles or re-optimizes.
+///
+/// The optimizer pipeline output (the histogram path's circuit, profile
+/// and rewrite) is built lazily, on the first read: only a
+/// [`Deliverable::Histogram`] plan needs it, because an expectation plan
+/// executes the observable-lightcone prune of the raw circuit instead.
+/// It is built at most once per prepared circuit, however many plans
+/// and threads read it; the service fills it before taking its lock.
 #[derive(Clone, Debug)]
 pub struct PreparedCircuit {
     /// The circuit exactly as submitted.
     raw: Circuit,
     /// Profile of the raw circuit.
     pub raw_profile: CircuitProfile,
-    /// The histogram-path pipeline output (a verbatim copy of `raw`
-    /// when the pipeline is off or the circuit is parameterized).
-    pub circuit: Circuit,
-    /// Profile of `circuit` — the histogram routing basis.
-    pub profile: CircuitProfile,
-    /// What the pipeline did.
-    pub rewrite: RewriteStats,
     /// The effective pipeline configuration (`stabilizer_safe` for
-    /// Clifford circuits); `None` when the pipeline was off.
+    /// Clifford circuits); `None` when the pipeline is off.
     pub config: Option<OptimizeConfig>,
+    /// The pipeline output, built on first read.
+    pipeline: OnceLock<Pipeline>,
+}
+
+/// What the optimizer pipeline made of a [`PreparedCircuit`].
+#[derive(Clone, Debug)]
+struct Pipeline {
+    circuit: Circuit,
+    profile: CircuitProfile,
+    rewrite: RewriteStats,
 }
 
 impl PreparedCircuit {
@@ -291,13 +303,54 @@ impl PreparedCircuit {
     pub fn raw(&self) -> &Circuit {
         &self.raw
     }
+
+    /// The histogram-path pipeline output (a verbatim copy of the raw
+    /// circuit when the pipeline is off or the circuit is
+    /// parameterized). Runs the pipeline on the first call.
+    pub fn circuit(&self) -> &Circuit {
+        &self.pipeline().circuit
+    }
+
+    /// Profile of [`PreparedCircuit::circuit`], the histogram routing
+    /// basis. Runs the pipeline on the first call.
+    pub fn profile(&self) -> &CircuitProfile {
+        &self.pipeline().profile
+    }
+
+    /// What the pipeline did. Runs the pipeline on the first call.
+    pub fn rewrite(&self) -> &RewriteStats {
+        &self.pipeline().rewrite
+    }
+
+    fn pipeline(&self) -> &Pipeline {
+        self.pipeline.get_or_init(|| {
+            let (circuit, rewrite) = match &self.config {
+                Some(cfg) => optimize(&self.raw, cfg),
+                None => (
+                    self.raw.clone(),
+                    RewriteStats::unchanged(self.raw.num_operations()),
+                ),
+            };
+            let profile = if circuit.structural_hash() == self.raw.structural_hash() {
+                self.raw_profile.clone()
+            } else {
+                CircuitProfile::of(&circuit)
+            };
+            Pipeline {
+                circuit,
+                profile,
+                rewrite,
+            }
+        })
+    }
 }
 
-/// Profiles `circuit` and runs the pipeline [`PlannerConfig::optimize`]
-/// selects. Clifford circuits get the [`OptimizeConfig::stabilizer_safe`]
-/// subset (matrix-producing fusion would push them off the stabilizer
-/// backends); parameterized circuits are returned unoptimized — the
-/// planner rejects them before execution anyway.
+/// Profiles `circuit` and picks the pipeline [`PlannerConfig::optimize`]
+/// selects for it, without running it: the first histogram plan does
+/// (see [`PreparedCircuit`]). Clifford circuits get the
+/// [`OptimizeConfig::stabilizer_safe`] subset (matrix-producing fusion
+/// would push them off the stabilizer backends); parameterized circuits
+/// get no pipeline — the planner rejects them before execution anyway.
 pub fn prepare(circuit: &Circuit, config: &PlannerConfig) -> PreparedCircuit {
     let raw_profile = CircuitProfile::of(circuit);
     let effective = match config.optimize {
@@ -310,25 +363,11 @@ pub fn prepare(circuit: &Circuit, config: &PlannerConfig) -> PreparedCircuit {
         }
         _ => None,
     };
-    let (optimized, rewrite) = match &effective {
-        Some(cfg) => optimize(circuit, cfg),
-        None => (
-            circuit.clone(),
-            RewriteStats::unchanged(circuit.num_operations()),
-        ),
-    };
-    let profile = if optimized.structural_hash() == circuit.structural_hash() {
-        raw_profile.clone()
-    } else {
-        CircuitProfile::of(&optimized)
-    };
     PreparedCircuit {
         raw: circuit.clone(),
         raw_profile,
-        circuit: optimized,
-        profile,
-        rewrite,
         config: effective,
+        pipeline: OnceLock::new(),
     }
 }
 
@@ -350,7 +389,7 @@ pub fn plan_prepared(
         ));
     }
     if let Deliverable::Histogram { .. } = deliverable {
-        let n = prep.profile.num_qubits;
+        let n = prep.profile().num_qubits;
         if n > BitString::MAX_QUBITS {
             return Err(SimError::Unsupported(format!(
                 "histogram of a {n}-qubit circuit: sampled bitstrings hold at most {} qubits",
@@ -361,12 +400,14 @@ pub fn plan_prepared(
     // Expectation deliverables execute the observable-lightcone-pruned
     // circuit: the full pipeline would fuse diagonal gates such as
     // `Rzz` into dense blocks, which the exact walk applies as cheap
-    // diagonal phase ops when left alone. Histograms execute the full
-    // pipeline output.
+    // diagonal phase ops when left alone. So only a histogram plan reads
+    // (and, the first time, builds) the full pipeline output.
     let (circuit, rewrite, profile) = match deliverable {
-        Deliverable::Histogram { .. } => {
-            (prep.circuit.clone(), prep.rewrite.clone(), &prep.profile)
-        }
+        Deliverable::Histogram { .. } => (
+            prep.circuit().clone(),
+            prep.rewrite().clone(),
+            prep.profile(),
+        ),
         Deliverable::Expectation { observable } => {
             let lightcone = prep.config.map(|c| c.lightcone).unwrap_or(false);
             if lightcone {
@@ -1025,6 +1066,48 @@ mod tests {
         .unwrap();
         assert_eq!(plan.path, ExecPath::ExpectationWalk);
         assert_eq!(plan.backend, BackendKind::ChForm);
+    }
+
+    #[test]
+    fn only_a_histogram_plan_builds_the_pipeline_output() {
+        let mut c = Circuit::new();
+        c.push(Operation::gate(Gate::H, vec![q(0)]).unwrap());
+        c.push(Operation::gate(Gate::H, vec![q(0)]).unwrap());
+        c.push(Operation::gate(Gate::Rz(0.3.into()), vec![q(1)]).unwrap());
+        c.push(Operation::gate(Gate::Rz(0.4.into()), vec![q(1)]).unwrap());
+        c.push(Operation::gate(Gate::Cnot, vec![q(1), q(2)]).unwrap());
+        c.push(Operation::gate(Gate::Rzz(0.5.into()), vec![q(0), q(2)]).unwrap());
+        c.push(Operation::gate(Gate::Rx(0.7.into()), vec![q(2)]).unwrap());
+        c.push(Operation::measure(vec![q(0), q(1), q(2)], "m").unwrap());
+        let cfg = PlannerConfig::default();
+        let prep = prepare(&c, &cfg);
+        assert!(prep.pipeline.get().is_none(), "prepare only profiles");
+        let expectation = Deliverable::Expectation {
+            observable: "Z0 Z2".parse().unwrap(),
+        };
+        plan_prepared(&prep, &expectation, &cfg, None).unwrap();
+        assert!(
+            prep.pipeline.get().is_none(),
+            "an expectation plan skips it"
+        );
+
+        let first = plan_prepared(&prep, &hist(), &cfg, None).unwrap();
+        let built: *const Pipeline = prep.pipeline.get().expect("built by the histogram plan");
+        let again = plan_prepared(&prep, &hist(), &cfg, None).unwrap();
+        assert!(
+            std::ptr::eq(built, prep.pipeline.get().unwrap()),
+            "built once"
+        );
+        let cold = plan(&c, &hist(), &cfg).unwrap();
+        assert!(
+            cold.rewrite.ops_after < cold.rewrite.ops_before,
+            "the pipeline rewrites"
+        );
+        for p in [&first, &again] {
+            assert_eq!(p.circuit, cold.circuit);
+            assert_eq!(p.rewrite, cold.rewrite);
+            assert_eq!(p.fingerprint(), cold.fingerprint());
+        }
     }
 
     #[test]

@@ -387,14 +387,12 @@ fn admit(shared: &Shared, (ticket, request): Msg) {
             return;
         }
     }
-    // Resolve and prepare outside the service lock; only the memo
-    // lookup and the enqueue need it.
+    // Resolve and prepare (profile, plus the optimizer pipeline for a
+    // histogram) outside the service lock; only the memo lookup and the
+    // enqueue need it.
     let resolved = Resolved::new(request);
     let memo = lock(&shared.service).memo(&resolved);
-    let prep = match memo {
-        Some(p) => p,
-        None => resolved.prepare(&shared.planner),
-    };
+    let prep = resolved.prepare(memo, &shared.planner);
     // The service lock is held from the enqueue until the slot reads
     // `Submitted`: another worker's take_batch/take_finished can only
     // see the job once `publish` will accept its result, so a fast

@@ -454,9 +454,23 @@ impl Resolved {
         }
     }
 
-    /// Profiles and optimizes the resolved circuit.
-    pub(crate) fn prepare(&self, planner: &PlannerConfig) -> Arc<PreparedCircuit> {
-        Arc::new(prepare(&self.circuit, planner))
+    /// The preparation to enqueue this request with: `memo` (the
+    /// service's memoized one) if there is one, else a fresh profile. A
+    /// histogram request's optimizer pipeline output is built here, so
+    /// [`SimulationService::enqueue`], which runs under the service lock
+    /// in the async front door, never runs the optimizer. An expectation
+    /// request leaves it unbuilt; a later histogram of the same circuit
+    /// builds it from the memo entry.
+    pub(crate) fn prepare(
+        &self,
+        memo: Option<Arc<PreparedCircuit>>,
+        planner: &PlannerConfig,
+    ) -> Arc<PreparedCircuit> {
+        let prep = memo.unwrap_or_else(|| Arc::new(prepare(&self.circuit, planner)));
+        if let Deliverable::Histogram { .. } = self.request.deliverable {
+            prep.circuit();
+        }
+        prep
     }
 }
 
@@ -566,10 +580,7 @@ impl SimulationService {
     /// ceiling).
     pub fn submit(&mut self, request: SimRequest) -> Result<JobId, SimError> {
         let resolved = Resolved::new(request);
-        let prep = match self.memo(&resolved) {
-            Some(p) => p,
-            None => resolved.prepare(&self.config.planner),
-        };
+        let prep = resolved.prepare(self.memo(&resolved), &self.config.planner);
         let id = JobId(self.next_id);
         self.enqueue(id, resolved, prep)?;
         self.next_id += 1;
@@ -1306,6 +1317,46 @@ mod tests {
         assert!(svc.cache_stats().hits >= 1);
         let got = svc.take_result(id).unwrap().unwrap().expectation().unwrap();
         assert!((got - 0.7f64.cos()).abs() < 1e-10);
+    }
+
+    #[test]
+    fn a_histogram_after_an_expectation_runs_the_pipeline_from_the_memo() {
+        // Non-Clifford, with gates the optimizer pipeline rewrites.
+        let mut c = Circuit::new();
+        c.push(Operation::gate(Gate::H, vec![q(0)]).unwrap());
+        c.push(Operation::gate(Gate::H, vec![q(0)]).unwrap());
+        c.push(Operation::gate(Gate::Rz(0.3.into()), vec![q(1)]).unwrap());
+        c.push(Operation::gate(Gate::Rz(0.4.into()), vec![q(1)]).unwrap());
+        c.push(Operation::gate(Gate::Cnot, vec![q(1), q(2)]).unwrap());
+        c.push(Operation::gate(Gate::Rzz(0.5.into()), vec![q(0), q(2)]).unwrap());
+        c.push(Operation::gate(Gate::Rx(0.7.into()), vec![q(2)]).unwrap());
+        c.push(Operation::measure(vec![q(0), q(1), q(2)], "m").unwrap());
+        let mut svc = SimulationService::with_defaults();
+        let e = svc
+            .submit(SimRequest::expectation(c.clone(), "Z0 Z2".parse().unwrap()))
+            .unwrap();
+        svc.run_all();
+        assert!(svc.take_result(e).unwrap().unwrap().expectation().is_some());
+        let h = svc
+            .submit(SimRequest::histogram(c.clone(), 300).with_seed(5))
+            .unwrap();
+        assert_eq!(svc.preps.len(), 1, "the histogram reused the memo entry");
+        svc.run_all();
+        let report = svc.take_result(h).unwrap().unwrap();
+
+        let cold = crate::plan(
+            &c,
+            &Deliverable::Histogram { repetitions: 300 },
+            &PlannerConfig::default(),
+        )
+        .unwrap();
+        assert!(cold.rewrite.ops_after < cold.rewrite.ops_before);
+        assert_eq!(report.rewrite, cold.rewrite);
+        let standalone = cold.run(300, Some(5)).unwrap();
+        assert_eq!(
+            histogram_of(report).histogram("m"),
+            standalone.histogram("m")
+        );
     }
 
     /// Submits one request to a fresh service under `fault` and serves

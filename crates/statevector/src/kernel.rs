@@ -594,98 +594,65 @@ pub(crate) fn tree_fold_f64(mut parts: Vec<f64>) -> f64 {
     parts[0]
 }
 
-/// Row `k` of the Z-parity walk's sign table: for each term, the sign bit
-/// (bit 63) that flips when the index steps from `i - 1` to `i`, where
-/// `k - 1` is the number of trailing zeros of `i`. The step flips index
-/// bits `0..k`, so the flip is the parity of `z & ((1 << k) - 1)`. Row 0
-/// (a shard's first index) flips nothing.
-fn parity_flips(zs: &[u64]) -> Vec<u64> {
-    let m = zs.len();
-    let mut flips = vec![0u64; (SHARD_BITS + 1) * m];
-    for k in 1..=SHARD_BITS {
-        for (f, &z) in flips[k * m..(k + 1) * m].iter_mut().zip(zs) {
-            *f = ((z & ((1u64 << k) - 1)).count_ones() as u64 & 1) << 63;
-        }
-    }
-    flips
+/// The Z-parity walk's flip table for one block of up to
+/// [`dispatch::TERM_LANES`] terms: row `k` holds, per term, the sign bit
+/// (bit 63) that flips when the index steps to an `i` with `k` trailing
+/// zeros. That step flips index bits `0..=k`, so the flip is the parity
+/// of `z & ((2 << k) - 1)`. A shard's walk needs rows `0..SHARD_BITS`.
+fn parity_flips(zs: &[u64]) -> Vec<dispatch::LaneSigns> {
+    (0..SHARD_BITS)
+        .map(|k| {
+            let mut row = [0u64; dispatch::TERM_LANES];
+            for (f, &z) in row.iter_mut().zip(zs) {
+                *f = ((z & ((2u64 << k) - 1)).count_ones() as u64 & 1) << 63;
+            }
+            row
+        })
+        .collect()
 }
 
 /// The sums `S_t = sum_b (-1)^{|b & z_t|} conj(a[b ^ x]) a[b]` for every
 /// term `t` that shares X-mask `x`, from one pass over the amplitudes.
 ///
-/// The product `conj(a[b ^ x]) a[b]` is computed once per amplitude and
-/// shared; each term adds it under its own Z-parity sign into its own
-/// per-shard accumulator, in index order, and the per-shard partials
-/// combine by the ascending tree fold. Adding the sign-flipped product
-/// equals subtracting it bit for bit (IEEE `a - b` is `a + (-b)`), so
-/// each `S_t` is exactly what a pass for term `t` alone computes. The
-/// signs are carried along the index walk, one table row per step, so
-/// no per-term popcount runs in the loop. For `x = 0` the product is
-/// `(|a|^2, +0)` exactly, so those accumulators are real and the
-/// returned imaginary parts are `+0`, as a complex accumulator's would
-/// be.
+/// Each shard runs [`dispatch::pauli_lanes`] once per block of up to
+/// [`dispatch::TERM_LANES`] terms: the product `conj(a[b ^ x]) a[b]` is
+/// computed once per amplitude and added under each term's Z-parity
+/// sign into that term's register lane, in index order, and the
+/// per-shard partials combine by the ascending tree fold. Adding the
+/// sign-flipped product equals subtracting it bit for bit (IEEE `a - b`
+/// is `a + (-b)`), so each `S_t` is exactly what a pass for term `t`
+/// alone computes, on every ISA and for every thread count. For `x = 0`
+/// the product is `|a|^2` (what `conj(a) a` computes, with an exact `+0`
+/// imaginary part), so the returned imaginary parts are `+0`, as a
+/// complex accumulator's would be.
 pub(crate) fn pauli_sums(amps: &[C64], x: usize, zs: &[u64]) -> Vec<C64> {
-    let m = zs.len();
-    let flips = parity_flips(zs);
-    let row = |i: usize| {
-        if i == 0 {
-            0
-        } else {
-            i.trailing_zeros() as usize + 1
-        }
-    };
-    // The shared product as (re, im) bits.
-    let product = |b: usize, a: C64| {
-        if x == 0 {
-            (a.norm_sqr().to_bits(), 0.0f64.to_bits())
-        } else {
-            let t = amps[b ^ x].conj() * a;
-            (t.re.to_bits(), t.im.to_bits())
-        }
-    };
+    let blocks: Vec<(&[u64], Vec<dispatch::LaneSigns>)> = zs
+        .chunks(dispatch::TERM_LANES)
+        .map(|block| (block, parity_flips(block)))
+        .collect();
+    // A shard's partner amplitudes `a[b ^ x]` lie in shard `ci ^ xh`, at
+    // in-shard offset `i ^ xl`.
+    let (xh, xl) = (x & !(SHARD_LEN - 1), x & (SHARD_LEN - 1));
     let parts = shard_partials(amps, |ci, chunk| {
         let base = ci * SHARD_LEN;
-        let mut sign: Vec<u64> = zs
-            .iter()
-            .map(|&z| ((base as u64 & z).count_ones() as u64 & 1) << 63)
-            .collect();
-        if m == 1 {
-            // A lone term keeps its sums in registers: held in memory, each
-            // add would wait on a store-to-load round trip.
-            let (mut s, mut re, mut im) = (sign[0], 0.0f64, 0.0f64);
-            for (i, &a) in chunk.iter().enumerate() {
-                s ^= flips[row(i)];
-                let (tr, ti) = product(base + i, a);
-                re += f64::from_bits(tr ^ s);
-                im += f64::from_bits(ti ^ s);
+        let partner = (x != 0).then(|| (&amps[base ^ xh..][..chunk.len()], xl));
+        let mut sums = Vec::with_capacity(zs.len());
+        for (block, flips) in &blocks {
+            let mut sign = [0u64; dispatch::TERM_LANES];
+            for (s, &z) in sign.iter_mut().zip(*block) {
+                *s = ((base as u64 & z).count_ones() as u64 & 1) << 63;
             }
-            return vec![re, im];
+            let (re, im) = dispatch::pauli_lanes(chunk, partner, block.len(), &sign, flips);
+            sums.extend((0..block.len()).map(|t| (re[t], im[t])));
         }
-        // Split planes: real parts in acc[..m], imaginary in acc[m..].
-        let mut acc = vec![0.0f64; 2 * m];
-        let (acc_re, acc_im) = acc.split_at_mut(m);
-        for (i, &a) in chunk.iter().enumerate() {
-            let (tr, ti) = product(base + i, a);
-            let r = row(i);
-            let flip = &flips[r * m..(r + 1) * m];
-            if x == 0 {
-                for ((re, s), f) in acc_re.iter_mut().zip(&mut sign).zip(flip) {
-                    *s ^= f;
-                    *re += f64::from_bits(tr ^ *s);
-                }
-            } else {
-                let planes = acc_re.iter_mut().zip(acc_im.iter_mut());
-                for (((re, im), s), f) in planes.zip(&mut sign).zip(flip) {
-                    *s ^= f;
-                    *re += f64::from_bits(tr ^ *s);
-                    *im += f64::from_bits(ti ^ *s);
-                }
-            }
-        }
-        acc
+        sums
     });
-    let fold = |k: usize| tree_fold_f64(parts.iter().map(|p| p[k]).collect());
-    (0..m).map(|j| C64::new(fold(j), fold(m + j))).collect()
+    (0..zs.len())
+        .map(|t| {
+            let (re, im): (Vec<f64>, Vec<f64>) = parts.iter().map(|p| p[t]).unzip();
+            C64::new(tree_fold_f64(re), tree_fold_f64(im))
+        })
+        .collect()
 }
 
 /// Squared norm of an amplitude array: per-shard 8-lane partials

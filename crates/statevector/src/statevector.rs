@@ -249,10 +249,11 @@ impl BglsState for StateVector {
     /// `P = i^{ny} X^x Z^z`, `P|b> = i^{ny} (-1)^{|b & z|} |b ^ x>`, so
     /// each amplitude pairs with its X-flipped partner under a Z-parity
     /// sign, and terms with the same `x` share the pairing. Each term
-    /// keeps its own per-shard accumulator, fed in index order and
-    /// combined by ascending tree fold, so every value is bit-identical
-    /// to a lone term's pass, for every thread count. Every term is
-    /// checked against the width before any pass runs.
+    /// keeps its own per-shard accumulator (a SIMD register lane), fed
+    /// in index order and combined by ascending tree fold, so every
+    /// value is bit-identical to a lone term's pass, for every thread
+    /// count and ISA. Every term is checked against the width before any
+    /// pass runs.
     fn expectations(&self, observables: &[&PauliString]) -> Result<Vec<f64>, SimError> {
         for p in observables {
             if let Some(q) = p.max_qubit() {

@@ -472,42 +472,110 @@ fn lone_term_expectation(amps: &[C64], p: &PauliString) -> f64 {
     (parts[0] * C64::i_pow(ny as i64)).re
 }
 
-#[test]
-fn grouped_pauli_pass_matches_lone_terms_bitwise() {
-    // 10 qubits fit one shard; 16 qubits are four shards on the parallel
-    // path. The sums mix identity, Z-only strings (the real X-mask 0
-    // group), X and Y strings, and X-masks shared by several terms.
-    for n in [10usize, 16] {
-        let last = n - 1;
-        let strings: Vec<PauliString> = [
+/// Term counts that cross the grouped pass's lane-block edges (blocks of
+/// up to 32 terms; 1- and 8-lane blocks below that).
+const TERM_COUNTS: [usize; 8] = [1, 7, 8, 9, 31, 32, 33, 70];
+
+/// `count` Pauli terms over `n` qubits with one shared X-mask: all-Z
+/// strings (X-mask 0, the first one the identity) or strings flipping
+/// qubits 0 and `n - 1` (X-mask != 0, crossing shards at 15 and 16
+/// qubits), each with its own scattered Z pattern (a Z on a flipped
+/// qubit makes it a Y).
+fn term_block(n: usize, count: usize, flip: bool) -> Vec<PauliString> {
+    let x = if flip { 1u64 | 1 << (n - 1) } else { 0 };
+    (0..count as u64)
+        .map(|k| {
+            let z = if k == 0 && !flip {
+                0
+            } else {
+                (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - n)
+            };
+            let ops: Vec<String> = (0..n)
+                .filter_map(|q| match (x >> q & 1, z >> q & 1) {
+                    (1, 0) => Some(format!("X{q}")),
+                    (1, 1) => Some(format!("Y{q}")),
+                    (0, 1) => Some(format!("Z{q}")),
+                    _ => None,
+                })
+                .collect();
+            let text = if ops.is_empty() {
+                "I".into()
+            } else {
+                ops.join(" ")
+            };
+            text.parse().unwrap()
+        })
+        .collect()
+}
+
+/// Every term list the grouped-pass tests evaluate at width `n`: the
+/// X-mask-0 and X-mask != 0 blocks at each of [`TERM_COUNTS`] (both in
+/// one call), plus a hand-written mix of identity, Z-only, X and Y
+/// strings with X-masks shared by several terms.
+fn grouped_term_lists(n: usize) -> Vec<Vec<PauliString>> {
+    let last = n - 1;
+    let mut lists: Vec<Vec<PauliString>> = TERM_COUNTS
+        .iter()
+        .map(|&count| {
+            let mut terms = term_block(n, count, false);
+            terms.extend(term_block(n, count, true));
+            terms
+        })
+        .collect();
+    lists.push(
+        [
             "I".to_string(),
             "Z0 Z1".to_string(),
             format!("X0 X{last}"),
-            format!("Z3 Z{last}"),
+            format!("Z1 Z{last}"),
             "Y0 Y1".to_string(),
             "X2".to_string(),
-            format!("Y0 Z4 Y{last}"),
-            "Z5".to_string(),
-            format!("X0 Z2 X{last}"),
-            "Y2 Z7".to_string(),
-            "X0 X1 Z9".to_string(),
+            format!("Y0 Z1 Y{last}"),
+            "Z2".to_string(),
+            format!("X0 Z1 X{last}"),
+            "Y2 Z1".to_string(),
+            "X0 X1 Z2".to_string(),
             "I".to_string(),
         ]
         .iter()
         .map(|s| s.parse().unwrap())
-        .collect();
-        let refs: Vec<&PauliString> = strings.iter().collect();
+        .collect(),
+    );
+    lists
+}
+
+#[test]
+fn grouped_pauli_pass_matches_lone_terms_bitwise() {
+    // Below one shard (3, 10 qubits), exactly one (14), and two and four
+    // shards on the parallel path (15 = PAR_THRESHOLD, 16). Every value
+    // of every grouped call equals its term's lone call and the lone
+    // reference loop, 0 ulp.
+    for n in [3usize, 10, 14, 15, 16] {
+        let last = n - 1;
         let sv = StateVector::from_circuit(&qaoa_ring(n), n).unwrap();
         let mut sv2 = sv.clone();
         sv2.apply_gate(&Gate::Ry(0.61.into()), &[2]).unwrap();
         sv2.apply_gate(&Gate::S, &[last]).unwrap();
+        let lists = grouped_term_lists(n);
         for state in [sv, sv2] {
-            let grouped = state.expectations(&refs).unwrap();
-            for (p, got) in strings.iter().zip(&grouped) {
-                let lone = lone_term_expectation(state.amplitudes(), p);
-                assert_eq!(got.to_bits(), lone.to_bits(), "{n}q {p}: vs lone loop");
-                let single = state.expectation(p).unwrap();
-                assert_eq!(got.to_bits(), single.to_bits(), "{n}q {p}: vs expectation");
+            let mut lone: Vec<(String, u64)> = Vec::new();
+            for terms in &lists {
+                let refs: Vec<&PauliString> = terms.iter().collect();
+                let grouped = state.expectations(&refs).unwrap();
+                for (p, got) in terms.iter().zip(&grouped) {
+                    let key = p.to_string();
+                    let want = match lone.iter().find(|(k, _)| *k == key) {
+                        Some(&(_, bits)) => bits,
+                        None => {
+                            let single = state.expectation(p).unwrap().to_bits();
+                            let reference = lone_term_expectation(state.amplitudes(), p);
+                            assert_eq!(single, reference.to_bits(), "{n}q {p}: lone call");
+                            lone.push((key, single));
+                            single
+                        }
+                    };
+                    assert_eq!(got.to_bits(), want, "{n}q {p}: grouped vs lone");
+                }
             }
         }
     }
@@ -765,7 +833,7 @@ fn forced_isa_paths_agree_bitwise() {
     use bgls_suite::linalg::dispatch::{self, Isa};
     // Gates and reductions over a 15-qubit state: every kernel shape
     // (1q low/high, 2q local/mixed/cross, diagonal ops at in-shard and
-    // shard-index placements, norm, marginal, expectation) gets
+    // shard-index placements, norm, marginal, grouped expectations) gets
     // exercised, under each ISA the host supports. All paths share one
     // arithmetic contract, so agreement is exact — 0 ulp.
     let mut circuit = random_clifford(15, 8, 23);
@@ -777,17 +845,30 @@ fn forced_isa_paths_agree_bitwise() {
     for (gate, (a, b)) in two.into_iter().zip([(1, 0), (14, 3), (2, 9), (0, 14)]) {
         circuit.push(Operation::gate(gate, vec![Qubit(a), Qubit(b)]).unwrap());
     }
+    // The grouped Pauli pass runs every term list of
+    // `grouped_term_lists` (lane-block edges, X-mask 0 and != 0) at
+    // widths 3 to 16, on this state at 15 qubits and on QAOA rings.
     let run = || {
         let sv = StateVector::from_circuit(&circuit, 15).unwrap();
-        let obs: Vec<PauliString> = ["Y1 X7 Z14", "Z0 Z3", "Z14", "X1 X7 Z2"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let refs: Vec<&PauliString> = obs.iter().collect();
+        let mut exps = Vec::new();
+        for n in [3usize, 10, 14, 15, 16] {
+            let ring = StateVector::from_circuit(&qaoa_ring(n), n).unwrap();
+            let states = if n == 15 {
+                vec![&sv, &ring]
+            } else {
+                vec![&ring]
+            };
+            for terms in grouped_term_lists(n) {
+                let refs: Vec<&PauliString> = terms.iter().collect();
+                for state in &states {
+                    exps.extend(state.expectations(&refs).unwrap());
+                }
+            }
+        }
         (
             sv.amplitudes().to_vec(),
             sv.norm_sqr(),
-            sv.expectations(&refs).unwrap(),
+            exps,
             sv.marginal_probability(&[(2, true), (14, false)]),
         )
     };
@@ -806,8 +887,9 @@ fn forced_isa_paths_agree_bitwise() {
             );
         }
         assert_eq!(norm.to_bits(), norm0.to_bits(), "{isa:?}: norm bits");
-        for (e, e0) in exp.iter().zip(&exp0) {
-            assert_eq!(e.to_bits(), e0.to_bits(), "{isa:?}: expectation bits");
+        assert_eq!(exp.len(), exp0.len());
+        for (i, (e, e0)) in exp.iter().zip(&exp0).enumerate() {
+            assert_eq!(e.to_bits(), e0.to_bits(), "{isa:?}: expectation {i} bits");
         }
         assert_eq!(marg.to_bits(), marg0.to_bits(), "{isa:?}: marginal bits");
     }
